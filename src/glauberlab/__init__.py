@@ -8,7 +8,7 @@ from .blocks import (BlockParams, BlockPartition, Block, GoodBadLabeling,
                      partition_to_json_dict, read_partition,
                      validate_partition, write_partition)
 from .dynamics import (ChainState, coalescence_time, contraction_probe,
-                       coupled_step, glauber_step, maximal_coupling_entries,
+                       coupled_step, maximal_coupling_entries,
                        read_checkpoint, resume_chain, run_block_chain,
                        run_chain, sample_maximal_coupling, block_step,
                        visit_counts, write_checkpoint)
@@ -35,7 +35,7 @@ from .graphs import (AlphaWeight, Boundaries, Graph, HypothesisParams,
                      parse_edge_list,
                      read_edge_list, tree_excess, tree_excess_all,
                      write_edge_list)
-from .models import (SpinModel, activity_free, coloring_model,
+from .models import (HeatBath, SpinModel, activity_free, coloring_model,
                      fit_degree_cap, format_configuration, greedy_coloring,
                      hardcore_model, initial_configuration, is_feasible,
                      local_conditional, log_weight, model_from_json_dict,

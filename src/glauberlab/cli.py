@@ -193,7 +193,8 @@ def cmd_exact(args, cfg):
     try:
         tau = relaxation_time(chain)
         tmix = mixing_time(chain, horizon=cfg["mixing_horizon"])
-        recs = sandwich_check(chain, instance=f"{args.model}:{args.graph}")
+        recs = sandwich_check(chain, instance=f"{args.model}:{args.graph}",
+                              tau=tau, tmix=tmix)
         payload.update({"relaxation": tau, "mixing": tmix,
                         "records": _records_json(recs)})
         if not all(r.passed for r in recs):

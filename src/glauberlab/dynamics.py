@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 from .errors import NoFeasibleStateError
 from .exact import skeleton_joint
-from .models import greedy_coloring, is_feasible, local_conditional
+# local_conditional and sample_index are unused here but stay importable:
+# perfbench's traced run wraps them on this module
+from .models import HeatBath, greedy_coloring, is_feasible, local_conditional
 from .rng import make_rng, rng_state_from_hex, rng_state_to_hex, sample_index
 from .trees import build_tree_tables, tree_sample
 
@@ -24,24 +26,16 @@ class ChainState:
     rng: object
 
 
-def _glauber_update(model, graph, config, rng, lazy=True):
+def _glauber_update(kernel, config, rng, lazy=True):
     """One update in place; returns (v, old, new) or None when held."""
     if lazy and rng.random() < 0.5:
         return None
-    v = rng.randrange(graph.n)
+    v = rng.randrange(kernel.graph.n)
     u = rng.random()
-    probs = local_conditional(model, graph, config, v)
     old = config[v]
-    x = sample_index(probs, u)
+    x = kernel.draw(config, v, u)
     config[v] = x
     return v, old, x
-
-
-def glauber_step(model, graph, config, rng, lazy=True):
-    """Functional single step: takes and returns a config tuple."""
-    work = list(config)
-    _glauber_update(model, graph, work, rng, lazy=lazy)
-    return tuple(work)
 
 
 def run_chain(model, graph, start, steps, seed=0, lazy=True,
@@ -60,12 +54,13 @@ def run_chain(model, graph, start, steps, seed=0, lazy=True,
     if stride is None:
         stride = max(1, steps // 10 ** 4)
     rng = make_rng(seed, "chain")
+    kernel = HeatBath(model, graph)
     config = list(start)
     hamming = sum(1 for a, b in zip(config, reference) if a != b)
     active = sum(1 for a in config if a != 0)
     trace = [(0, hamming, active)]
     for step in range(1, steps + 1):
-        moved = _glauber_update(model, graph, config, rng, lazy=lazy)
+        moved = _glauber_update(kernel, config, rng, lazy=lazy)
         if moved is not None:
             v, old, new = moved
             if old != new:
@@ -82,11 +77,12 @@ def visit_counts(model, graph, start, steps, seed=0, lazy=True):
     if not is_feasible(model, graph, start):
         raise ValueError("start configuration is infeasible")
     rng = make_rng(seed, "chain")
+    kernel = HeatBath(model, graph)
     config = list(start)
     cur = start
     counts = {}
     for _ in range(steps):
-        moved = _glauber_update(model, graph, config, rng, lazy=lazy)
+        moved = _glauber_update(kernel, config, rng, lazy=lazy)
         if moved is not None and moved[1] != moved[2]:
             cur = tuple(config)
         counts[cur] = counts.get(cur, 0) + 1
@@ -113,9 +109,10 @@ def read_checkpoint(path):
 
 def resume_chain(model, graph, state, steps, lazy=True):
     """Continue a checkpointed run; extends it by ``steps`` updates."""
+    kernel = HeatBath(model, graph)
     config = list(state.config)
     for _ in range(steps):
-        _glauber_update(model, graph, config, state.rng, lazy=lazy)
+        _glauber_update(kernel, config, state.rng, lazy=lazy)
     return ChainState(config=tuple(config), step=state.step + steps,
                       rng=state.rng)
 
@@ -165,27 +162,29 @@ def sample_maximal_coupling(p, q, u):
     return entries[-1][0], entries[-1][1]
 
 
-def coupled_step(model, graph, left, right, rng, lazy=True):
+def coupled_step(model, graph, left, right, rng, lazy=True, kernel=None):
     """One synchronized update of two configs sharing all randomness.
 
     When the chosen vertex sees identical neighborhoods in both copies
     the single heat-bath draw is reused verbatim, so agreement is
     preserved exactly; otherwise the two conditionals are joined by their
-    maximal coupling.
+    maximal coupling.  ``kernel`` is the model's HeatBath on the graph,
+    built here when not given.
     """
+    kernel = kernel or HeatBath(model, graph)
     if lazy and rng.random() < 0.5:
         return None
     v = rng.randrange(graph.n)
     u = rng.random()
     same = left[v] == right[v] and all(
         left[w] == right[w] for w in graph.adj[v])
-    p = local_conditional(model, graph, left, v)
     if same:
-        x = sample_index(p, u)
+        x = kernel.draw(left, v, u)
         left[v] = x
         right[v] = x
         return v
-    q = local_conditional(model, graph, right, v)
+    p = kernel.pmf(left, v)
+    q = kernel.pmf(right, v)
     x, y = sample_maximal_coupling(p, q, u)
     left[v] = x
     right[v] = y
@@ -196,13 +195,14 @@ def coalescence_time(model, graph, start_a, start_b, horizon, seed=0,
                      lazy=True):
     """Steps until the coupled pair agrees everywhere, or None."""
     rng = make_rng(seed, "couple")
+    kernel = HeatBath(model, graph)
     a = list(start_a)
     b = list(start_b)
     disagree = {v for v, (x, y) in enumerate(zip(a, b)) if x != y}
     if not disagree:
         return 0
     for step in range(1, horizon + 1):
-        v = coupled_step(model, graph, a, b, rng, lazy=lazy)
+        v = coupled_step(model, graph, a, b, rng, lazy=lazy, kernel=kernel)
         if v is None:
             continue
         if a[v] == b[v]:
@@ -238,19 +238,19 @@ def contraction_probe(model, graph, pairs=20, seed=0, burn_factor=10):
     """
     n = graph.n
     start = _probe_start(model, graph)
+    kernel = HeatBath(model, graph)
     results = []
     worst = None
     for k in range(pairs):
         rng = make_rng(seed, "probe", k)
         config = list(start)
         for _ in range(burn_factor * n):
-            _glauber_update(model, graph, config, rng, lazy=False)
+            _glauber_update(kernel, config, rng, lazy=False)
         v0 = None
         alt = None
         for _ in range(10 * n):
             v = rng.randrange(n)
-            probs = local_conditional(model, graph, config, v)
-            x = sample_index(probs, rng.random())
+            x = kernel.draw(config, v, rng.random())
             if x != config[v]:
                 v0, alt = v, x
                 break
@@ -261,8 +261,8 @@ def contraction_probe(model, graph, pairs=20, seed=0, burn_factor=10):
         twin[v0] = alt
         tv_sum = 0.0
         for w in graph.adj[v0]:
-            p = local_conditional(model, graph, config, w)
-            q = local_conditional(model, graph, twin, w)
+            p = kernel.pmf(config, w)
+            q = kernel.pmf(twin, w)
             tv_sum += 0.5 * sum(abs(a - b) for a, b in zip(p, q))
         delta = (-1.0 + tv_sum) / n
         results.append({"vertex": v0, "delta": delta, "tv_sum": tv_sum})
@@ -271,21 +271,22 @@ def contraction_probe(model, graph, pairs=20, seed=0, burn_factor=10):
                        pairs=results)
 
 
-def block_step(model, graph, partition, config, rng):
+def block_step(model, graph, partition, config, rng, kernel=None):
     """Resample one uniformly chosen block from its conditional law.
 
-    Singleton blocks use the heat-bath conditional, plain tree blocks one
-    downward sampling pass, and skeleton blocks draw the skeleton joint
-    first and then each hanging tree given its root.  Mutates config in
-    place and returns the block index.
+    Singleton blocks use the heat-bath kernel (``kernel``, or a HeatBath
+    built here), plain tree blocks one downward sampling pass, and
+    skeleton blocks draw the skeleton joint first and then each hanging
+    tree given its root.  Mutates config in place, only at the block's
+    vertices, and returns the block index.
     """
     k = rng.randrange(len(partition.blocks))
     block = partition.blocks[k]
     bset = set(block.vertices)
     if block.kind == "singleton":
         v = block.vertices[0]
-        probs = local_conditional(model, graph, config, v)
-        config[v] = sample_index(probs, rng.random())
+        kernel = kernel or HeatBath(model, graph)
+        config[v] = kernel.draw(config, v, rng.random())
         return k
     boundary = {}
     for u in block.vertices:
@@ -321,17 +322,20 @@ def run_block_chain(model, graph, partition, start, steps, seed=0,
     if stride is None:
         stride = max(1, steps // 10 ** 4)
     rng = make_rng(seed, "block-chain")
+    kernel = HeatBath(model, graph)
     config = list(start)
-    trace = []
-
-    def row(step):
-        hamming = sum(1 for a, b in zip(config, reference) if a != b)
-        active = sum(1 for a in config if a != 0)
-        trace.append((step, hamming, active))
-
-    row(0)
+    before = list(start)
+    hamming = sum(1 for a, b in zip(config, reference) if a != b)
+    active = sum(1 for a in config if a != 0)
+    trace = [(0, hamming, active)]
     for step in range(1, steps + 1):
-        block_step(model, graph, partition, config, rng)
+        k = block_step(model, graph, partition, config, rng, kernel=kernel)
+        for v in partition.blocks[k].vertices:
+            old, new = before[v], config[v]
+            if old != new:
+                hamming += (new != reference[v]) - (old != reference[v])
+                active += (new != 0) - (old != 0)
+                before[v] = new
         if step % stride == 0 or step == steps:
-            row(step)
+            trace.append((step, hamming, active))
     return ChainState(config=tuple(config), step=steps, rng=rng), trace

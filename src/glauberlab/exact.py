@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import (BoundaryInfeasibleError, BudgetExceededError,
                      CheegerHypothesisError, DegenerateChainError,
-                     HorizonExceededError, NoFeasibleStateError)
+                     HorizonExceededError)
 from .graphs import bfs_distances, exterior_boundary
-from .models import NEG_INF
+from .models import NEG_INF, neighbor_conditional
 from .records import BoundRecord
 from .rng import make_rng, sample_index
 from .trees import batched_root_marginals, build_tree_tables, tree_law
@@ -39,11 +39,25 @@ class ExactChain:
     P: np.ndarray = None
     lazy: bool = None
     _index: dict = field(default=None, repr=False)
+    _reads: list = field(default=None, repr=False)
 
     def index(self, state):
         if self._index is None:
             self._index = {s: i for i, s in enumerate(self.states)}
         return self._index[state]
+
+    def neighbor_reads(self, i):
+        """Where the neighbors of position i get their states, in adjacency
+        order: (j, None) for chain position j, (None, x) for a boundary
+        state x.  Neighbors that are neither are skipped."""
+        if self._reads is None:
+            pos = {u: j for j, u in enumerate(self.vertices)}
+            self._reads = [
+                [(pos[w], None) if w in pos else (None, self.boundary[w])
+                 for w in self.graph.adj[v]
+                 if w in pos or w in self.boundary]
+                for v in self.vertices]
+        return self._reads[i]
 
 
 def enumerate_states(model, graph, budget=DEFAULT_STATE_BUDGET,
@@ -127,31 +141,9 @@ def enumerate_states(model, graph, budget=DEFAULT_STATE_BUDGET,
 
 def _conditional_probs(chain, state, i):
     """Heat-bath law at position i of a chain state (list of q floats)."""
-    model = chain.model
-    v = chain.vertices[i]
-    pos = {u: j for j, u in enumerate(chain.vertices)}
-    scores = []
-    for x in range(model.q):
-        s = model.h[x]
-        for w in chain.graph.adj[v]:
-            if w in pos:
-                gxw = model.g[x][state[pos[w]]]
-            elif w in chain.boundary:
-                gxw = model.g[x][chain.boundary[w]]
-            else:
-                continue
-            if gxw == NEG_INF:
-                s = NEG_INF
-                break
-            s += gxw
-        scores.append(s)
-    top = max(scores)
-    if top == NEG_INF:
-        raise NoFeasibleStateError(
-            f"no feasible state at vertex {v} in an enumerated chain")
-    ws = [math.exp(s - top) if s > NEG_INF else 0.0 for s in scores]
-    total = sum(ws)
-    return [w / total for w in ws]
+    states = [state[j] if j is not None else x
+              for j, x in chain.neighbor_reads(i)]
+    return neighbor_conditional(chain.model, states, chain.vertices[i])
 
 
 def transition_matrix(chain, lazy=True):
@@ -293,10 +285,16 @@ def mixing_time(chain, target=TV_TARGET, horizon=DEFAULT_MIXING_HORIZON):
 
 
 def sandwich_check(chain, instance="", tol=1e-9,
-                   horizon=DEFAULT_MIXING_HORIZON):
-    """tau <= tau_mix and tau_mix <= tau*(1 + 0.5*ln(1/min pi))."""
-    tau = relaxation_time(chain)
-    tmix = mixing_time(chain, horizon=horizon)
+                   horizon=DEFAULT_MIXING_HORIZON, tau=None, tmix=None):
+    """tau <= tau_mix and tau_mix <= tau*(1 + 0.5*ln(1/min pi)).
+
+    ``tau`` and ``tmix`` are computed here unless the caller already has
+    them.
+    """
+    if tau is None:
+        tau = relaxation_time(chain)
+    if tmix is None:
+        tmix = mixing_time(chain, horizon=horizon)
     upper = tau * (1.0 + 0.5 * math.log(1.0 / chain.pi.min()))
     return [
         BoundRecord(instance=instance, bound_name="sandwich-lower",

@@ -9,10 +9,12 @@ finite g everywhere.
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .errors import NoFeasibleStateError, PaletteExhaustedError, PeelingError
 from .graphs import bfs_distances
+from .rng import sample_index
 
 NEG_INF = float("-inf")
 
@@ -114,34 +116,119 @@ def is_feasible(model, graph, config):
     return log_weight(model, graph, config) > NEG_INF
 
 
-def _conditional_scores(model, graph, config, v):
-    scores = []
-    for x in model.states:
-        s = model.h[x]
-        for w in graph.adj[v]:
-            gxw = model.g[x][config[w]]
-            if gxw == NEG_INF:
-                s = NEG_INF
-                break
-            s += gxw
-        scores.append(s)
-    return scores
+def _no_feasible_state(v):
+    return NoFeasibleStateError(
+        f"no feasible state at vertex {v} given its neighborhood")
 
 
-def local_conditional(model, graph, config, v):
-    """Heat-bath distribution of the state at v given all other vertices.
+def neighbor_conditional(model, states, v):
+    """Heat-bath distribution at v given its neighbors' states, listed in
+    adjacency order.
 
     Log-sum-exp with max subtraction; every state incompatible with the
     neighborhood gets probability exactly 0.0.
     """
-    scores = _conditional_scores(model, graph, config, v)
+    scores = []
+    for x in model.states:
+        s = model.h[x]
+        for y in states:
+            gxy = model.g[x][y]
+            if gxy == NEG_INF:
+                s = NEG_INF
+                break
+            s += gxy
+        scores.append(s)
     top = max(scores)
     if top == NEG_INF:
-        raise NoFeasibleStateError(
-            f"no feasible state at vertex {v} given its neighborhood")
+        raise _no_feasible_state(v)
     weights = [math.exp(s - top) if s > NEG_INF else 0.0 for s in scores]
     total = sum(weights)
     return [w / total for w in weights]
+
+
+def local_conditional(model, graph, config, v):
+    """Heat-bath distribution of the state at v given all other vertices."""
+    return neighbor_conditional(model, [config[w] for w in graph.adj[v]], v)
+
+
+class HeatBath:
+    """The heat-bath conditional of one model on one graph.
+
+    ``pmf(config, v)`` equals ``local_conditional(model, graph, config, v)``
+    and ``draw(config, v, u)`` equals ``sample_index`` of that pmf with
+    uniform ``u``, float for float.  A proper coloring's conditional is
+    uniform on the k free colors, so per k one table of the sequential
+    partial sums of 1.0/k replays the cumulative walk of ``sample_index``;
+    hardcore has one pmf for an unblocked vertex.  Soft models take the
+    generic path.
+    """
+
+    def __init__(self, model, graph):
+        self.model = model
+        self.graph = graph
+        self._adj = graph.adj
+        self._q = model.q
+        if model.kind == "coloring":
+            self._cums = [()]
+            for k in range(1, model.q + 1):
+                w = 1.0 / k
+                acc = 0.0
+                cum = []
+                for _ in range(k):
+                    acc += w
+                    cum.append(acc)
+                self._cums.append(tuple(cum))
+            self.draw = self._draw_coloring
+            self.pmf = self._pmf_coloring
+        elif model.kind == "hardcore":
+            self._open = neighbor_conditional(model, (), None)
+            p0, p1 = self._open
+            self._total = 0.0 + p0 + p1
+            # sample_index never picks a state of mass 0.0
+            self._cut = p0 if p1 > 0.0 else math.inf
+            self.draw = self._draw_hardcore
+            self.pmf = self._pmf_hardcore
+
+    def draw(self, config, v, u):
+        return sample_index(local_conditional(
+            self.model, self.graph, config, v), u)
+
+    def pmf(self, config, v):
+        return local_conditional(self.model, self.graph, config, v)
+
+    def _draw_coloring(self, config, v, u):
+        taken = {config[w] for w in self._adj[v]}
+        cum = self._cums[self._q - len(taken)]
+        if not cum:
+            raise _no_feasible_state(v)
+        j = bisect_right(cum, u * cum[-1])
+        if j == len(cum):
+            j -= 1
+        # the j-th free color: each taken color at or below it shifts it up
+        for c in sorted(taken):
+            if c > j:
+                break
+            j += 1
+        return j
+
+    def _pmf_coloring(self, config, v):
+        taken = {config[w] for w in self._adj[v]}
+        k = self._q - len(taken)
+        if not k:
+            raise _no_feasible_state(v)
+        p = 1.0 / k
+        return [0.0 if c in taken else p for c in range(self._q)]
+
+    def _draw_hardcore(self, config, v, u):
+        for w in self._adj[v]:
+            if config[w]:
+                return 0
+        return 0 if u * self._total < self._cut else 1
+
+    def _pmf_hardcore(self, config, v):
+        if any(config[w] for w in self._adj[v]):
+            return [1.0, 0.0]
+        return list(self._open)
 
 
 def activity_free(model):

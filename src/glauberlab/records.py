@@ -7,7 +7,6 @@ documented JSON field names; "pass" is a Python keyword, so the attribute
 is ``passed`` and the mapping happens at serialization time.
 """
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -62,26 +61,3 @@ class Report:
     def add(self, record):
         self.records.append(record)
         return record
-
-    def to_json(self, indent=None):
-        return json.dumps([r.to_json_dict() for r in self.records],
-                          indent=indent, default=_jsonable)
-
-
-def _jsonable(obj):
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
-    if isinstance(obj, tuple):
-        return list(obj)
-    if hasattr(obj, "item"):
-        return obj.item()
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
-def dump_records(records, path, indent=2):
-    with open(path, "w") as fh:
-        json.dump([r.to_json_dict() for r in records], fh,
-                  indent=indent, default=_jsonable)
-        fh.write("\n")

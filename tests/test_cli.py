@@ -4,6 +4,8 @@ import json
 import pytest
 
 import glauberlab as gl
+from glauberlab import cli as gl_cli
+from glauberlab import exact as gl_exact
 from glauberlab.cli import main
 
 
@@ -146,6 +148,34 @@ class TestExact:
         assert payload["states"] == 24
         assert payload["mixing"] == 20
         assert payload["relaxation"] == pytest.approx(12.0, abs=1e-8)
+
+    def test_relaxation_and_mixing_computed_once(self, triangle_files,
+                                                 tmp_path, monkeypatch):
+        calls = {"relaxation_time": 0, "mixing_time": 0}
+
+        def counted(name):
+            fn = getattr(gl_exact, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            wrapped = counted(name)
+            monkeypatch.setattr(gl_exact, name, wrapped)
+            monkeypatch.setattr(gl_cli, name, wrapped)
+        gp, mp = triangle_files
+        out = tmp_path / "ex.json"
+        assert main(["exact", "--model", str(mp), "--graph", str(gp),
+                     "--out", str(out)]) == 0
+        assert calls == {"relaxation_time": 1, "mixing_time": 1}
+        payload = json.loads(out.read_text())["payload"]
+        monkeypatch.undo()
+        chain = gl.transition_matrix(
+            gl.enumerate_states(gl.read_model(mp), gl.read_edge_list(gp)))
+        recs = gl.sandwich_check(chain, instance=f"{mp}:{gp}")
+        assert payload["records"] == [r.to_json_dict() for r in recs]
 
     def test_budget_exhaustion_exit_code(self, triangle_files, tmp_path):
         gp, mp = triangle_files

@@ -236,3 +236,36 @@ class TestBlockChain:
         st, trace = gl.run_block_chain(m, g, part, start, 500, seed=3)
         assert gl.is_feasible(m, g, st.config)
         assert trace[-1][0] == 500
+
+    def test_trace_rows_equal_full_recount(self):
+        # a skeleton block with two hanging trees beside singletons; the
+        # chain keeps hamming/active incrementally, the replay recounts
+        g = gl.Graph(10, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (2, 5),
+                          (5, 6), (6, 7), (3, 8), (8, 9)])
+        m = gl.coloring_model(4)
+        skel = gl.Block(kind="skeleton", vertices=(0, 1, 2, 3, 4, 5),
+                        skeleton=(0, 1, 2, 3),
+                        pieces=(gl.Piece(root=0, vertices=(4,)),
+                                gl.Piece(root=2, vertices=(5,))))
+        part = gl.BlockPartition(
+            blocks=(skel,) + tuple(gl.Block(kind="singleton", vertices=(v,))
+                                   for v in (6, 7, 8, 9)),
+            L=1.0, log_base=math.e)
+        start = (0, 1, 0, 1, 1, 1, 0, 1, 0, 1)
+        reference = (1, 0, 1, 0, 2, 3, 1, 2, 3, 0)
+        st, trace = gl.run_block_chain(m, g, part, start, 400, seed=5,
+                                       reference=reference, stride=1)
+        rng = gl.make_rng(5, "block-chain")
+        cfg = list(start)
+
+        def recount(step):
+            return (step, sum(1 for a, b in zip(cfg, reference) if a != b),
+                    sum(1 for a in cfg if a != 0))
+
+        want = [recount(0)]
+        for step in range(1, 401):
+            gl.block_step(m, g, part, cfg, rng)
+            want.append(recount(step))
+        assert trace == want
+        assert tuple(st.config) == tuple(cfg)
+        assert len({row[1:] for row in trace}) > 5
