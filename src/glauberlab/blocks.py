@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import (BudgetExceededError, LabelingInconsistencyError,
                      NonUniqueAttachmentError, SkeletonBoundError)
-from .graphs import (DEFAULT_NODE_BUDGET, alpha_weight, alpha_weights_all,
-                     bfs_distances, boundaries, log_radius)
+from .graphs import (DEFAULT_NODE_BUDGET, alpha_weights_all, bfs_distances,
+                     boundaries, induced_components, induced_excess,
+                     log_radius)
 from .records import CheckRecord, Report
 
 
@@ -27,7 +28,6 @@ class GoodBadLabeling:
     alpha: float
     eps: float
     phi: np.ndarray
-    tail_bound: float = 0.0
 
     def is_good(self, v):
         return bool(self.good[v])
@@ -37,39 +37,23 @@ class GoodBadLabeling:
         return [v for v in range(len(self.good)) if not self.good[v]]
 
 
-def classify(g, c, alpha, eps, tail_tolerance=0.0, phi=None):
+def classify(g, c, alpha, eps, phi=None):
     """Label each vertex good iff deg(v) <= c and phi_alpha(v) <= eps.
 
-    phi defaults to the exact weights; with a positive tail tolerance the
-    truncated per-vertex weight is used and the dropped tail counts toward
-    the threshold, so truncation can only demote vertices to bad.
+    phi defaults to the exact weights; a caller that already has them (the
+    hypothesis check computes them) passes them in.
     """
     if c < 0:
         raise ValueError("degree cap must be nonnegative")
     if eps <= 0:
         raise ValueError("weight cap must be positive")
-    tail = 0.0
     if phi is None:
-        if tail_tolerance > 0.0:
-            vals = np.zeros(g.n)
-            tails = np.zeros(g.n)
-            for v in range(g.n):
-                aw = alpha_weight(g, v, alpha, tail_tolerance=tail_tolerance)
-                vals[v] = aw.value
-                tails[v] = aw.tail_bound
-            phi = vals
-            tail = float(tails.max()) if g.n else 0.0
-            effective = vals + tails
-        else:
-            phi = alpha_weights_all(g, alpha)
-            effective = phi
+        phi = alpha_weights_all(g, alpha)
     else:
         phi = np.asarray(phi, dtype=float)
-        effective = phi
     degrees = np.array([g.degree(v) for v in range(g.n)], dtype=float)
-    good = (degrees <= c) & (effective <= eps)
-    return GoodBadLabeling(good=good, c=c, alpha=alpha, eps=eps, phi=phi,
-                           tail_bound=tail)
+    good = (degrees <= c) & (phi <= eps)
+    return GoodBadLabeling(good=good, c=c, alpha=alpha, eps=eps, phi=phi)
 
 
 @dataclass(frozen=True)
@@ -125,27 +109,6 @@ def bad_classes(g, labeling):
         classes.append(tuple(sorted(comp)))
     classes.sort(key=lambda c: c[0])
     return classes
-
-
-def _induced_components(g, vertices):
-    """Connected components of the induced subgraph, sorted by min vertex."""
-    vset = set(vertices)
-    comps = []
-    seen = set()
-    for s in sorted(vset):
-        if s in seen:
-            continue
-        dist = bfs_distances(g, s, within=vset)
-        comp = tuple(sorted(dist))
-        seen.update(comp)
-        comps.append(comp)
-    return comps
-
-
-def _induced_excess(g, vertices):
-    vset = set(vertices)
-    ecount = sum(1 for u in vset for w in g.adj[u] if w > u and w in vset)
-    return ecount - len(vset) + 1
 
 
 class _SearchBudget:
@@ -266,13 +229,13 @@ _RULES = {"i": _find_rule_i, "ii": _find_rule_ii, "iii": _find_rule_iii}
 
 
 def _check_skeleton_bounds(g, W, size_cap, t):
-    for comp in _induced_components(g, W):
+    for comp in induced_components(g, W):
         if len(comp) > size_cap:
             raise SkeletonBoundError(
                 f"skeleton component of size {len(comp)} exceeds "
                 f"{size_cap:.3f}; the graph fails the hypothesis at these "
                 f"parameters (component min vertex {comp[0]})")
-        excess = _induced_excess(g, comp)
+        excess = induced_excess(g, comp)
         if excess > t:
             raise SkeletonBoundError(
                 f"skeleton component has tree excess {excess} > {t} "
@@ -317,7 +280,7 @@ def build_skeleton(g, labeling, L, t, log_base=math.e, scan_order="low",
             break
         W.update(addition)
         _check_skeleton_bounds(g, W, size_cap, t)
-    return _induced_components(g, W)
+    return induced_components(g, W)
 
 
 def has_applicable_rule(g, W, L, log_base=math.e,
@@ -384,7 +347,8 @@ def _units(g, labeling, classes):
     units = [set(cls) for cls in classes]
     for v in range(g.n):
         if labeling.is_good(v):
-            hits = {unit_of[w] for w in g.adj[v] if w in unit_of}
+            hits = {unit_of[w] for w in g.adj[v]
+                    if w in unit_of and not labeling.is_good(w)}
             if len(hits) > 1:
                 raise LabelingInconsistencyError(
                     f"good vertex {v} is adjacent to bad classes "
@@ -407,14 +371,14 @@ def _units(g, labeling, classes):
 def _extract_pieces(g, block_vertices, wset, block_tag):
     pieces = []
     outside = [v for v in block_vertices if v not in wset]
-    for comp in _induced_components(g, outside):
+    for comp in induced_components(g, outside):
         cset = set(comp)
         attach = [(w, c) for c in comp for w in g.adj[c] if w in wset]
         if len(attach) != 1:
             raise NonUniqueAttachmentError(
                 f"{block_tag}: component {comp[:6]}... has {len(attach)} "
                 f"attachment edges to the skeleton (need exactly 1)")
-        if _induced_excess(g, comp) != 0:
+        if induced_excess(g, comp) != 0:
             raise NonUniqueAttachmentError(
                 f"{block_tag}: component {comp[:6]}... contains a cycle, "
                 f"so paths to the skeleton are not unique")
@@ -557,7 +521,7 @@ def validate_partition(g, partition, labeling=None):
         for piece in b.pieces:
             cset = set(piece.vertices)
             claimed |= cset
-            if _induced_excess(g, piece.vertices) != 0:
+            if induced_excess(g, piece.vertices) != 0:
                 problems.append({"block": i, "piece": piece.root,
                                  "why": "piece not a tree"})
             full = cset | {piece.root}

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (BoundaryInfeasibleError, BudgetExceededError,
                      CheegerHypothesisError, DegenerateChainError,
                      HorizonExceededError)
-from .graphs import bfs_distances, exterior_boundary
+from .graphs import bfs_distances, exterior_boundary, induced_excess
 from .models import NEG_INF, neighbor_conditional
 from .records import BoundRecord
 from .rng import make_rng, sample_index
@@ -760,21 +760,17 @@ def path_density(g, tree, root):
     dist = bfs_distances(g, root, within=tset)
     if len(dist) != len(tset):
         raise ValueError("tree vertex set is not connected")
-    ecount = sum(1 for u in tset for w in g.adj[u] if w > u and w in tset)
-    if ecount != len(tset) - 1:
+    if induced_excess(g, tset) != 0:
         raise ValueError("vertex set does not induce a tree")
 
     best = 0
-
-    def walk(u, parent, acc):
-        nonlocal best
+    stack = [(root, None, 0)]
+    while stack:
+        u, parent, acc = stack.pop()
         acc += g.degree(u)
         best = max(best, acc)
-        for w in g.adj[u]:
-            if w != parent and w in tset:
-                walk(w, u, acc)
-
-    walk(root, None, 0)
+        stack.extend((w, u, acc) for w in g.adj[u]
+                     if w != parent and w in tset)
     return best
 
 

@@ -17,8 +17,9 @@ from .rng import make_rng
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
-# Chunk of BFS source rows held in memory at once during whole-graph scans.
-_DIST_CHUNK = 512
+# BFS sources swept at once: four 64-bit words of source bits per vertex,
+# and a (256, n) float64 block of distance rows.
+_DIST_CHUNK = 256
 
 
 class Graph:
@@ -57,20 +58,12 @@ class Graph:
         return len(self.adj[v])
 
     def csr_adjacency(self):
-        """Sparse adjacency matrix, cached (the graph is immutable)."""
+        """(indptr, indices) of the sorted adjacency lists, cached."""
         if self._csr is None:
-            from scipy.sparse import csr_matrix
-
-            if self.m:
-                ue = np.array([e[0] for e in self.edges])
-                ve = np.array([e[1] for e in self.edges])
-                rows = np.concatenate([ue, ve])
-                cols = np.concatenate([ve, ue])
-                data = np.ones(2 * self.m, dtype=np.int8)
-            else:
-                rows = cols = np.zeros(0, dtype=int)
-                data = np.zeros(0, dtype=np.int8)
-            self._csr = csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+            indptr = np.cumsum([0] + [len(a) for a in self.adj])
+            indices = np.array([w for a in self.adj for w in a],
+                               dtype=np.intp)
+            self._csr = (indptr, indices)
         return self._csr
 
     def __eq__(self, other):
@@ -115,6 +108,27 @@ def bfs_distances(g, sources, cutoff=None, within=None):
     return dist
 
 
+def induced_components(g, vertices):
+    """Components of the induced subgraph as sorted tuples, by min vertex."""
+    vset = set(vertices)
+    comps = []
+    seen = set()
+    for s in sorted(vset):
+        if s in seen:
+            continue
+        comp = tuple(sorted(bfs_distances(g, s, within=vset)))
+        seen.update(comp)
+        comps.append(comp)
+    return comps
+
+
+def induced_excess(g, vertices):
+    """|E| - |V| + 1 of the induced subgraph."""
+    vset = set(vertices)
+    ecount = sum(1 for u in vset for w in g.adj[u] if w > u and w in vset)
+    return ecount - len(vset) + 1
+
+
 def ball(g, v, l):
     """V(v,l) and the induced edge list E(v,l), via BFS from v."""
     if not 0 <= v < g.n:
@@ -142,74 +156,129 @@ def tree_excess(g, v, l):
 @dataclass(frozen=True)
 class AlphaWeight:
     value: float
-    tail_bound: float
 
 
-def alpha_weight(g, v, alpha, tail_tolerance=0.0):
-    """phi_alpha(v) = sum over u != v of alpha^d(v,u); unreachable u add 0.
-
-    With tail_tolerance > 0 the BFS stops at the first radius R satisfying
-    alpha^R * n < tail_tolerance and the bound on the dropped mass is
-    reported; tail_tolerance = 0 forces a full traversal.
-    """
+def alpha_weight(g, v, alpha):
+    """phi_alpha(v) = sum over u != v of alpha^d(v,u); unreachable u add 0."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
-    if tail_tolerance < 0.0:
-        raise ValueError("tail_tolerance must be nonnegative")
-    cutoff = None
-    if tail_tolerance > 0.0 and g.n > 0:
-        cutoff = 0
-        while alpha ** cutoff * g.n >= tail_tolerance:
-            cutoff += 1
-    dist = bfs_distances(g, v, cutoff=cutoff)
-    value = sum(alpha ** d for d in dist.values()) - 1.0
-    tail = 0.0
-    if cutoff is not None:
-        unreached = g.n - len(dist)
-        tail = alpha ** (cutoff + 1) * unreached
-    return AlphaWeight(value, tail)
+    dist = bfs_distances(g, v)
+    return AlphaWeight(sum(alpha ** d for d in dist.values()) - 1.0)
 
 
-def _distance_chunks(g, chunk=_DIST_CHUNK, indices=None):
-    """Yield (source indices, hop-distance rows) over the whole graph."""
-    from scipy.sparse.csgraph import dijkstra
+def _bfs_level(indptr, indices, seen, act, words):
+    """The vertices that gain source bits from the frontier ``act`` (with
+    bit ``words``) and those bits.  A small frontier pushes its bits along
+    its own edges, a large one is pulled over the whole adjacency; np.take
+    gathers rows several times faster than fancy indexing."""
+    lens = indptr[act + 1] - indptr[act]
+    pushes = int(lens.sum())
+    if not pushes:
+        return act[:0], words[:0]
+    if 4 * pushes < len(indices):
+        first = np.repeat(indptr[act] - (np.cumsum(lens) - lens), lens)
+        target = indices[first + np.arange(pushes)]
+        order = np.argsort(target, kind="stable")
+        target = target[order]
+        heads = np.flatnonzero(np.concatenate(([True],
+                                               target[1:] != target[:-1])))
+        cand = target[heads]
+        sender = np.repeat(np.arange(len(act)), lens)[order]
+        gained = np.bitwise_or.reduceat(np.take(words, sender, axis=0),
+                                        heads, axis=0)
+    else:
+        front = np.zeros_like(seen)
+        front[act] = words
+        cand = np.flatnonzero(np.diff(indptr))
+        gained = np.bitwise_or.reduceat(np.take(front, indices, axis=0),
+                                        indptr[cand], axis=0)
+    gained &= ~np.take(seen, cand, axis=0)
+    keep = np.flatnonzero(gained.any(axis=1))
+    return cand[keep], np.take(gained, keep, axis=0)
 
-    csr = g.csr_adjacency()
-    idx = np.arange(g.n) if indices is None else np.asarray(indices)
-    for start in range(0, len(idx), chunk):
-        sel = idx[start:start + chunk]
-        dmat = dijkstra(csr, directed=False, unweighted=True, indices=sel)
-        yield sel, np.atleast_2d(dmat)
+
+def _unpack_bits(words, k):
+    return np.unpackbits(words.view(np.uint8), axis=1, count=k,
+                         bitorder="little")
 
 
-def alpha_weights_all(g, alpha, chunk=_DIST_CHUNK):
+def _distance_rows(seen, planes, k):
+    """C-contiguous (k, n) distances from the planes; inf if unreached."""
+    nbits = len(planes)
+    # An unreached bit has no level bits, so its code 1 << nbits is no depth.
+    code_type = np.min_scalar_type(1 << nbits)
+    code = np.left_shift(_unpack_bits(~seen, k), nbits, dtype=code_type)
+    for b, plane in enumerate(planes):
+        code |= np.left_shift(_unpack_bits(plane, k), b, dtype=code_type)
+    dmat = np.empty((k, len(seen)))
+    for s in range(0, len(seen), 2048):  # a blocked transpose stays in cache
+        dmat[:, s:s + 2048] = code[s:s + 2048].T
+    dmat[dmat == 1 << nbits] = np.inf
+    return dmat
+
+
+def _distance_chunks(g):
+    """Yield (source indices, hop-distance rows) over the whole graph.
+
+    Bit-parallel multi-source BFS (MS-BFS; Then et al., PVLDB 2014): bit s
+    of a vertex's words records that source sel[s] has reached it, so one
+    level advances every source of the chunk.  Each level ORs its new bits
+    into the planes of its depth (plane b holds bit b of the distance).
+    The rows equal unweighted shortest-path rows, inf where unreachable.
+    """
+    indptr, indices = g.csr_adjacency()
+    for start in range(0, g.n, _DIST_CHUNK):
+        sel = np.arange(start, min(start + _DIST_CHUNK, g.n))
+        k = len(sel)
+        col = np.arange(k)
+        seen = np.zeros((g.n, (k + 63) // 64), dtype="<u8")
+        seen[sel, col >> 6] = np.uint64(1) << (col & 63).astype("<u8")
+        planes = []
+        act, words, depth = sel, seen[sel], 0
+        while True:
+            act, words = _bfs_level(indptr, indices, seen, act, words)
+            if not len(act):
+                break
+            depth += 1
+            seen[act] = np.take(seen, act, axis=0) | words
+            if depth >> len(planes):
+                planes.append(np.zeros_like(seen))
+            for b, plane in enumerate(planes):
+                if depth >> b & 1:
+                    plane[act] = np.take(plane, act, axis=0) | words
+        dmat = _distance_rows(seen, planes, k)
+        # Free the sweep's state before the caller works on the rows.
+        del seen, planes, act, words
+        yield sel, dmat
+
+
+def _sweep(g, alpha=None, radius=None):
+    """phi_alpha and the tree excess of every radius-``radius`` ball, from
+    one pass over the distance rows; a clause left as None reads zeros."""
+    phi = np.zeros(g.n)
+    excess = np.zeros(g.n, dtype=np.int64)
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    for sel, dmat in _distance_chunks(g):
+        if alpha is not None:
+            # alpha ** inf == 0.0 handles unreachable vertices.
+            phi[sel] = (alpha ** dmat).sum(axis=1) - 1.0
+        if radius is not None:
+            mask = dmat <= radius
+            ecount = (mask[:, ends[:, 0]] & mask[:, ends[:, 1]]).sum(axis=1)
+            excess[sel] = ecount - mask.sum(axis=1) + 1
+    return phi, excess
+
+
+def alpha_weights_all(g, alpha):
     """Exact phi_alpha for every vertex at once (chunked whole-graph BFS)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
-    phi = np.zeros(g.n)
-    for sel, dmat in _distance_chunks(g, chunk=chunk):
-        # alpha ** inf == 0.0 handles unreachable vertices.
-        phi[sel] = (alpha ** dmat).sum(axis=1) - 1.0
-    return phi
+    return _sweep(g, alpha=alpha)[0]
 
 
-def tree_excess_all(g, l, chunk=_DIST_CHUNK):
+def tree_excess_all(g, l):
     """Tree excess of B(v,l) for every v (vectorized over source chunks)."""
-    excess = np.zeros(g.n, dtype=np.int64)
-    if g.m:
-        eu = np.array([e[0] for e in g.edges])
-        ev = np.array([e[1] for e in g.edges])
-    else:
-        eu = ev = np.zeros(0, dtype=int)
-    for sel, dmat in _distance_chunks(g, chunk=chunk):
-        mask = dmat <= l
-        vcount = mask.sum(axis=1)
-        if g.m:
-            ecount = (mask[:, eu] & mask[:, ev]).sum(axis=1)
-        else:
-            ecount = np.zeros(len(sel), dtype=np.int64)
-        excess[sel] = ecount - vcount + 1
-    return excess
+    return _sweep(g, radius=l)[1]
 
 
 @dataclass(frozen=True)
@@ -244,8 +313,9 @@ def max_path_alpha_weight(g, alpha, l, node_budget=DEFAULT_NODE_BUDGET,
     nodes = 0
     in_path = bytearray(g.n)
     path = []
+    stack = []  # per path vertex: its untried children, sum, edges left
 
-    def extend(v, total, edges_left):
+    def enter(v, total, edges_left):
         nonlocal best, best_path, nodes
         nodes += 1
         if nodes > node_budget:
@@ -258,17 +328,22 @@ def max_path_alpha_weight(g, alpha, l, node_budget=DEFAULT_NODE_BUDGET,
         if total > best:
             best = total
             best_path = tuple(path)
-        if edges_left > 0 and total + edges_left * max_phi > best:
-            for w in g.adj[v]:
-                if not in_path[w]:
-                    extend(w, total, edges_left - 1)
-        path.pop()
-        in_path[v] = 0
+        grow = edges_left > 0 and total + edges_left * max_phi > best
+        stack.append((iter(g.adj[v] if grow else ()), total, edges_left - 1))
 
     for v in order:
         if phi[v] + l * max_phi <= best:
             break
-        extend(v, 0.0, l)
+        enter(v, 0.0, l)
+        while stack:
+            children, total, edges_left = stack[-1]
+            for w in children:
+                if not in_path[w]:
+                    enter(w, total, edges_left)
+                    break
+            else:
+                stack.pop()
+                in_path[path.pop()] = 0
     return MaxPathWeight(best, best_path)
 
 
@@ -366,7 +441,7 @@ def check_hypothesis(g, params, node_budget=DEFAULT_NODE_BUDGET,
     radius = log_radius(params.a, g.n, base=log_base)
     report = Report()
 
-    excess = tree_excess_all(g, radius)
+    phi, excess = _sweep(g, alpha=params.alpha, radius=radius)
     bad = [int(v) for v in np.nonzero(excess > params.t)[0]]
     witness = [{"vertex": v, "excess": int(excess[v])}
                for v in bad[:witness_cap]]
@@ -378,7 +453,6 @@ def check_hypothesis(g, params, node_budget=DEFAULT_NODE_BUDGET,
         bound=params.t,
     ))
 
-    phi = alpha_weights_all(g, params.alpha)
     mpw = max_path_alpha_weight(g, params.alpha, radius,
                                 node_budget=node_budget, phi=phi)
     if g.n <= 1:

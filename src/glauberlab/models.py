@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .errors import NoFeasibleStateError, PaletteExhaustedError, PeelingError
-from .graphs import bfs_distances
+from .graphs import bfs_distances, induced_components, induced_excess
 from .rng import sample_index
 
 NEG_INF = float("-inf")
@@ -279,26 +279,6 @@ def _peel(graph, degree_cap):
     return kept, removed
 
 
-def _kept_components(graph, kept):
-    """Connected components of the kept set, each with its non-tree edges."""
-    seen = set()
-    comps = []
-    for s in sorted(kept):
-        if s in seen:
-            continue
-        dist = bfs_distances(graph, s, within=kept)
-        comp = sorted(dist)
-        seen.update(comp)
-        cset = set(comp)
-        ecount = 0
-        for u in comp:
-            for w in graph.adj[u]:
-                if w > u and w in cset:
-                    ecount += 1
-        comps.append((comp, ecount - len(comp) + 1))
-    return comps
-
-
 def initial_configuration(model, graph, degree_cap):
     """A feasible configuration built by peel / solve / reinsert.
 
@@ -319,7 +299,8 @@ def initial_configuration(model, graph, degree_cap):
 
     kept, removed = _peel(graph, degree_cap)
     config = [0] * graph.n
-    for comp, excess in _kept_components(graph, kept):
+    for comp in induced_components(graph, kept):
+        excess = induced_excess(graph, comp)
         if excess > 1:
             raise PeelingError(
                 f"component of size {len(comp)} has tree excess {excess} "
@@ -370,7 +351,8 @@ def fit_degree_cap(graph, start=None, ceiling=None):
     cap = start
     while True:
         kept, _ = _peel(graph, cap)
-        if all(x <= 1 for _, x in _kept_components(graph, kept)):
+        if all(induced_excess(graph, comp) <= 1
+               for comp in induced_components(graph, kept)):
             return cap
         if cap > ceiling:
             raise PeelingError(

@@ -20,7 +20,7 @@ from .exact import (DEFAULT_MIXING_HORIZON, DEFAULT_STATE_BUDGET,
                     is_irreducible, law_tv, mixing_time, relaxation_time,
                     sandwich_check, soft_norm_threshold, transition_matrix,
                     tree_decay_check)
-from .graphs import Graph
+from .graphs import Graph, bfs_distances
 from .models import coloring_model, hardcore_model, soft_model
 from .records import BoundRecord, CheckRecord, Report
 from .rng import make_rng
@@ -37,23 +37,6 @@ def _canonical_edges(n, edges):
     return best
 
 
-def _is_connected(n, edges):
-    if n == 1:
-        return True
-    adj = {v: [] for v in range(n)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
-
-
 @functools.lru_cache(maxsize=None)
 def connected_graphs(max_n=5):
     """All connected graphs on 1..max_n vertices up to isomorphism.
@@ -67,7 +50,8 @@ def connected_graphs(max_n=5):
         reps = set()
         for bits in range(1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-            if len(edges) < n - 1 or not _is_connected(n, edges):
+            if len(edges) < n - 1 or \
+                    len(bfs_distances(Graph(n, edges), 0)) < n:
                 continue
             reps.add(_canonical_edges(n, tuple(edges)))
         for k, edges in enumerate(sorted(reps, key=lambda e: (len(e), e)),

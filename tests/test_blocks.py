@@ -203,6 +203,18 @@ class TestBuildBlocks:
         roots = sorted(p.root for p in blk.pieces)
         assert roots == [1, 2]
 
+    def test_good_chain_between_classes_stays_apart(self):
+        # bad classes {0, 1} and {5, 6} joined by the good chain 2-3-4:
+        # 2 and 4 join the class they touch, and 3, whose neighbours are
+        # both good, stands alone
+        g = gl.Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
+        lab = gl.classify(g, c=10, alpha=0.5, eps=1.0,
+                          phi=[10.0, 10.0, 0.0, 0.0, 0.0, 10.0, 10.0])
+        assert gl.bad_classes(g, lab) == [(0, 1), (5, 6)]
+        part = gl.build_blocks(g, lab, [], L=1.0)
+        assert [(b.kind, b.vertices) for b in part.blocks] == [
+            ("tree", (0, 1, 2)), ("singleton", (3,)), ("tree", (4, 5, 6))]
+
     def test_split_classes_rejected(self):
         g = gl.Graph(3, [(0, 1), (1, 2)])
         lab = gl.classify(g, c=10, alpha=0.5, eps=1.0,

@@ -73,6 +73,24 @@ class TestCheck:
                      "--t", "1", "--delta", "10.0"])
         assert code == 1
 
+    def test_long_path_reaches_a_verdict(self, tmp_path):
+        # the path-weight search descends all 3000 vertices, deeper than
+        # the interpreter's recursion limit
+        n = 3000
+        gp = tmp_path / "path.edges"
+        gl.write_edge_list(gl.Graph(n, [(i, i + 1) for i in range(n - 1)]),
+                           gp)
+        out = tmp_path / "check.json"
+        code = main(["check", str(gp), "--a", "400", "--alpha", "0.25",
+                     "--t", "1", "--delta", "2", "--out", str(out)])
+        assert code == 1
+        payload = json.loads(out.read_text())["payload"]
+        checks = {r["check"]: r for r in payload["records"]}
+        assert checks["tree-excess"]["pass"]
+        assert not checks["path-weight"]["pass"]
+        assert sorted(checks["path-weight"]["witness"]["path"]) == \
+            list(range(n))
+
     def test_missing_file_is_invalid_input(self, tmp_path):
         code = main(["check", str(tmp_path / "nope.edges"), "--a", "1",
                      "--alpha", "0.5", "--t", "1", "--delta", "1"])

@@ -322,6 +322,16 @@ class TestPathDensity:
         with pytest.raises(ValueError):
             gl.path_density(triangle(), (0, 1, 2), 0)
 
+    def test_long_path_closed_form(self):
+        # deeper than the recursion limit: from an end the path collects
+        # 1 + 2 * (n - 2) + 1; from r < n / 2 the best side is r..n-1,
+        # which collects 2 * (n - r - 1) + 1
+        n = 5000
+        g = gl.Graph(n, [(i, i + 1) for i in range(n - 1)])
+        assert gl.path_density(g, range(n), 0) == 2 * n - 2
+        r = 1234
+        assert gl.path_density(g, range(n), r) == 2 * (n - 1 - r) + 1
+
 
 class TestChainDump:
     def test_contains_states_and_rows(self):

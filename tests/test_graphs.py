@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 import glauberlab as gl
+from glauberlab import graphs
 
 
 def path3():
@@ -110,6 +113,88 @@ class TestAlphaWeights:
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             gl.alpha_weight(path3(), 0, 1.5)
+
+
+def reference_rows(g):
+    """All-pairs hop distances from scipy's unweighted shortest paths."""
+    if g.n == 0:
+        return np.zeros((0, 0))
+    indptr, indices = g.csr_adjacency()
+    adj = csr_matrix((np.ones(len(indices)), indices, indptr),
+                     shape=(g.n, g.n))
+    return np.atleast_2d(dijkstra(adj, directed=False, unweighted=True))
+
+
+def reference_excess(g, rows, l):
+    mask = rows <= l
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    ecount = (mask[:, ends[:, 0]] & mask[:, ends[:, 1]]).sum(axis=1)
+    return ecount - mask.sum(axis=1) + 1
+
+
+def engine_cases():
+    # sizes below, at and across the 64-bit word and 256-source chunk
+    for n in (0, 1, 63, 64, 65, 257, 1200):
+        for d in (0.5, 1.0, 2.0, 3.0):
+            if n < 2:
+                yield pytest.param(gl.Graph(n, []), id=f"n={n}")
+                break
+            yield pytest.param(gl.generate_er(n, d, seed=n + int(4 * d)),
+                               id=f"er-{n}-{d}")
+    yield pytest.param(gl.Graph(70, []), id="edgeless")
+    yield pytest.param(gl.Graph(300, [(0, 1), (1, 2), (5, 9), (200, 299)]),
+                       id="isolated")
+    yield pytest.param(gl.Graph(300, [(i, i + 1) for i in range(299)]),
+                       id="path-300")
+
+
+class TestSweepEngine:
+    # The bit-parallel BFS must reproduce the shortest-path rows exactly,
+    # so that phi, summed row by row in the same order, is bit-identical.
+
+    @pytest.mark.parametrize("g", engine_cases())
+    def test_matches_reference(self, g):
+        ref = reference_rows(g)
+        rows = np.zeros((g.n, g.n))
+        for sel, dmat in graphs._distance_chunks(g):
+            assert dmat.dtype == np.float64 and dmat.flags.c_contiguous
+            rows[sel] = dmat
+        assert np.array_equal(rows, ref)
+        for alpha in (0.25, 0.3, 0.5, 0.9):
+            phi = (alpha ** ref).sum(axis=1) - 1.0
+            assert np.array_equal(gl.alpha_weights_all(g, alpha), phi), alpha
+        for l in range(7):
+            assert np.array_equal(gl.tree_excess_all(g, l),
+                                  reference_excess(g, ref, l)), l
+
+    @pytest.mark.parametrize("seed,a,t", [(3, 0.2, 1), (8, 0.5, 5),
+                                          (11, 1.0, 0)])
+    def test_check_equals_separate_sweeps(self, seed, a, t):
+        g = gl.generate_er(700, 2.0, seed=seed)
+        hp = gl.HypothesisParams(a=a, alpha=0.25, t=t, delta=2.07)
+        rep = gl.check_hypothesis(g, hp)
+        radius = gl.log_radius(a, g.n)
+        excess = gl.tree_excess_all(g, radius)
+        phi = gl.alpha_weights_all(g, hp.alpha)
+        mpw = gl.max_path_alpha_weight(g, hp.alpha, radius, phi=phi)
+        bad = [int(v) for v in np.nonzero(excess > t)[0]]
+        path_bound = hp.delta * math.log(g.n)
+        expected = [
+            gl.CheckRecord(
+                check="tree-excess", passed=not bad,
+                witness={"violations": len(bad),
+                         "first": [{"vertex": v, "excess": int(excess[v])}
+                                   for v in bad[:20]]},
+                value=int(excess.max()), bound=t),
+            gl.CheckRecord(
+                check="path-weight", passed=mpw.value < path_bound,
+                witness={"path": list(mpw.path)}, value=mpw.value,
+                bound=path_bound),
+        ]
+        assert rep.radius == radius
+        assert rep.records == expected
+        assert np.array_equal(rep.phi, phi)
+        assert rep.m_alpha == mpw.value
 
 
 class TestMaxPathWeight:
