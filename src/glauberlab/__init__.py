@@ -16,7 +16,7 @@ from .errors import (BoundaryInfeasibleError, BudgetExceededError,
                      CheegerHypothesisError, DegenerateChainError,
                      HorizonExceededError, LabelingInconsistencyError,
                      NoFeasibleStateError, NonUniqueAttachmentError,
-                     PaletteExhaustedError, PeelingError, SkeletonBoundError)
+                     PaletteExhaustedError, SkeletonBoundError)
 from .exact import (CanonicalBound, CheegerBound, DecayCheck, ExactChain,
                     SkeletonJoint, block_composition_check,
                     canonical_path_bound, cheeger_bound,
@@ -36,10 +36,10 @@ from .graphs import (AlphaWeight, Boundaries, Graph, HypothesisParams,
                      read_edge_list, tree_excess, tree_excess_all,
                      write_edge_list)
 from .models import (HeatBath, SpinModel, activity_free, coloring_model,
-                     fit_degree_cap, format_configuration, greedy_coloring,
-                     hardcore_model, initial_configuration, is_feasible,
-                     local_conditional, log_weight, model_from_json_dict,
-                     model_norm, model_to_json_dict, parse_configuration,
+                     format_configuration, greedy_coloring, hardcore_model,
+                     initial_configuration, is_feasible, local_conditional,
+                     log_weight, model_from_json_dict, model_norm,
+                     model_to_json_dict, parse_configuration,
                      read_configuration, read_model, soft_model,
                      write_configuration, write_model)
 from .records import BoundRecord, CheckRecord, Report

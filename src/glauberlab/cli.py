@@ -28,8 +28,8 @@ from .exact import (detailed_balance_gap, enumerate_states,
                     sandwich_check, transition_matrix)
 from .graphs import (HypothesisParams, check_hypothesis, generate_er,
                      read_edge_list, write_edge_list)
-from .models import (coloring_model, fit_degree_cap, greedy_coloring,
-                     hardcore_model, initial_configuration, read_model)
+from .models import (coloring_model, greedy_coloring, hardcore_model,
+                     initial_configuration, read_model)
 from .rng import derive_seed
 from .zoo import SUITES, run_suite
 
@@ -154,8 +154,7 @@ def cmd_decompose(args, cfg):
 def cmd_sample(args, cfg):
     model = read_model(args.model)
     g = read_edge_list(args.graph)
-    cap = fit_degree_cap(g) if model.kind == "coloring" else 1
-    start = initial_configuration(model, g, cap)
+    start = initial_configuration(model, g)
     state, trace = run_chain(model, g, start, args.steps, seed=args.seed,
                              lazy=not args.no_lazy, stride=args.stride)
     if args.out:
@@ -255,6 +254,14 @@ def _scaling_start_pair(model, g):
     return tuple([0] * n), tuple(taken)
 
 
+def _horizon(args, cfg):
+    horizon = args.horizon if args.horizon is not None \
+        else cfg["chain_horizon"]
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    return horizon
+
+
 def _scaling_cell(cell):
     n, d, q, beta, cell_seed, horizon = cell
     model = coloring_model(q) if beta is None else hardcore_model(beta)
@@ -266,7 +273,7 @@ def _scaling_cell(cell):
 
 
 def cmd_scaling(args, cfg):
-    horizon = args.horizon if args.horizon else cfg["chain_horizon"]
+    horizon = _horizon(args, cfg)
     cells = []
     for n in args.sizes:
         for i in range(args.seeds):
@@ -320,7 +327,7 @@ def cmd_scaling(args, cfg):
 def cmd_couple(args, cfg):
     model = read_model(args.model)
     g = read_edge_list(args.graph)
-    horizon = args.horizon if args.horizon else cfg["chain_horizon"]
+    horizon = _horizon(args, cfg)
     a, b = _scaling_start_pair(model, g)
     hamming = sum(1 for x, y in zip(a, b) if x != y)
     steps = coalescence_time(model, g, a, b, horizon, seed=args.seed,

@@ -20,8 +20,6 @@ DEFAULTS = {
     "mixing_horizon": 10 ** 6,
     # Update cap for simulated chains and couplings.
     "chain_horizon": 10 ** 8,
-    # Boundary-condition cap per block in the composition check.
-    "boundary_cap": 10 ** 4,
     # Boundary sample count for correlation-decay checks.
     "decay_boundary_samples": 1000,
     # Base of the logarithms in all length scales (L log n etc.).

@@ -12,7 +12,8 @@ from .errors import NoFeasibleStateError
 from .exact import skeleton_joint
 # local_conditional and sample_index are unused here but stay importable:
 # perfbench's traced run wraps them on this module
-from .models import HeatBath, greedy_coloring, is_feasible, local_conditional
+from .models import (HeatBath, initial_configuration, is_feasible,
+                     local_conditional)
 from .rng import make_rng, rng_state_from_hex, rng_state_to_hex, sample_index
 from .trees import build_tree_tables, tree_sample
 
@@ -38,6 +39,17 @@ def _glauber_update(kernel, config, rng, lazy=True):
     return v, old, x
 
 
+def _checked_stride(steps, stride):
+    """The trace stride, by default about 10^4 rows per run."""
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
+    if stride is None:
+        return max(1, steps // 10 ** 4)
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
+    return stride
+
+
 def run_chain(model, graph, start, steps, seed=0, lazy=True,
               reference=None, stride=None):
     """Run the single-site sampler, tracing summary rows.
@@ -51,8 +63,7 @@ def run_chain(model, graph, start, steps, seed=0, lazy=True,
     if not is_feasible(model, graph, start):
         raise ValueError("start configuration is infeasible")
     reference = start if reference is None else tuple(reference)
-    if stride is None:
-        stride = max(1, steps // 10 ** 4)
+    stride = _checked_stride(steps, stride)
     rng = make_rng(seed, "chain")
     kernel = HeatBath(model, graph)
     config = list(start)
@@ -221,12 +232,6 @@ class ProbeResult:
     pairs: list
 
 
-def _probe_start(model, graph):
-    if model.kind == "coloring":
-        return greedy_coloring(graph, model.q)
-    return tuple([0] * graph.n)
-
-
 def contraction_probe(model, graph, pairs=20, seed=0, burn_factor=10):
     """Exact one-step drift of the pair distance at sampled unit pairs.
 
@@ -237,7 +242,7 @@ def contraction_probe(model, graph, pairs=20, seed=0, burn_factor=10):
     Contraction holds at a pair iff its delta is negative.
     """
     n = graph.n
-    start = _probe_start(model, graph)
+    start = initial_configuration(model, graph)
     kernel = HeatBath(model, graph)
     results = []
     worst = None
@@ -319,8 +324,7 @@ def run_block_chain(model, graph, partition, start, steps, seed=0,
     if not is_feasible(model, graph, start):
         raise ValueError("start configuration is infeasible")
     reference = start if reference is None else tuple(reference)
-    if stride is None:
-        stride = max(1, steps // 10 ** 4)
+    stride = _checked_stride(steps, stride)
     rng = make_rng(seed, "block-chain")
     kernel = HeatBath(model, graph)
     config = list(start)

@@ -25,10 +25,6 @@ class BoundaryInfeasibleError(ValueError):
     """A boundary condition admits no feasible extension on the block."""
 
 
-class PeelingError(ValueError):
-    """Peeling left a component that is neither a tree nor unicyclic."""
-
-
 class PaletteExhaustedError(ValueError):
     """Greedy color assignment ran out of legal colors."""
 

@@ -12,8 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 
-from .errors import NoFeasibleStateError, PaletteExhaustedError, PeelingError
-from .graphs import bfs_distances, induced_components, induced_excess
+from .errors import NoFeasibleStateError, PaletteExhaustedError
 from .rng import sample_index
 
 NEG_INF = float("-inf")
@@ -269,96 +268,50 @@ def model_norm(model):
     return ModelNorm(value, hard)
 
 
-def _peel(graph, degree_cap):
-    """Remove every vertex of original degree above the cap, in one pass.
+def _smallest_last_order(graph):
+    """Vertices in smallest-last order (Matula and Beck, JACM 1983).
 
-    Returns (kept set, removed list) without judging what remains.
+    The reverse of the order in which repeatedly deleting a vertex of least
+    remaining degree removes them, so each vertex has at most degeneracy
+    neighbors before it.  Bucket queue with stale entries skipped; buckets
+    fill in ascending index order and pop from the end, so among ties the
+    largest index leaves first.
     """
-    removed = [v for v in range(graph.n) if graph.degree(v) > degree_cap]
-    kept = set(range(graph.n)) - set(removed)
-    return kept, removed
+    deg = [graph.degree(v) for v in range(graph.n)]
+    buckets = [[] for _ in range(max(deg, default=0) + 1)]
+    for v in range(graph.n):
+        buckets[deg[v]].append(v)
+    gone = [False] * graph.n
+    removed = []
+    low = 0
+    while len(removed) < graph.n:
+        if not buckets[low]:
+            low += 1
+            continue
+        v = buckets[low].pop()
+        if deg[v] != low:
+            continue
+        gone[v] = True
+        removed.append(v)
+        for w in graph.adj[v]:
+            if not gone[w]:
+                deg[w] -= 1
+                buckets[deg[w]].append(w)
+        low = max(low - 1, 0)
+    return removed[::-1]
 
 
-def initial_configuration(model, graph, degree_cap):
-    """A feasible configuration built by peel / solve / reinsert.
+def initial_configuration(model, graph):
+    """A feasible starting configuration.
 
-    Coloring: vertices of degree above the cap are peeled away, each
-    remaining component must be a tree or unicyclic (else PeelingError),
-    trees get a 2-coloring, unicyclic components repair the one conflict
-    edge with color 2, and peeled vertices come back in descending degree
-    order taking the smallest legal color (PaletteExhaustedError if none;
-    q >= degree_cap + 3 always suffices).  Hardcore and soft models start
-    from the all-zero configuration, which is feasible by shape.
+    Coloring: first-fit in smallest-last order, which succeeds whenever
+    q >= degeneracy + 1 (PaletteExhaustedError if the palette runs out).
+    Hardcore and soft models start from the all-zero configuration, which
+    is feasible by shape.
     """
-    if degree_cap < 1:
-        raise ValueError("degree cap must be positive")
     if model.kind != "coloring":
         return [0] * graph.n
-    if model.q < 3:
-        raise ValueError("peel-and-reinsert needs at least 3 colors")
-
-    kept, removed = _peel(graph, degree_cap)
-    config = [0] * graph.n
-    for comp in induced_components(graph, kept):
-        excess = induced_excess(graph, comp)
-        if excess > 1:
-            raise PeelingError(
-                f"component of size {len(comp)} has tree excess {excess} "
-                f"after peeling at degree cap {degree_cap}")
-        root = comp[0]
-        dist = bfs_distances(graph, root, within=set(comp))
-        for u in comp:
-            config[u] = dist[u] % 2
-        if excess == 1:
-            conflict = None
-            for u in comp:
-                for w in graph.adj[u]:
-                    if w > u and w in dist and config[u] == config[w]:
-                        conflict = (u, w)
-                        break
-                if conflict:
-                    break
-            if conflict:
-                config[conflict[0]] = 2
-
-    for v in sorted(removed, key=lambda v: (-graph.degree(v), v)):
-        taken = {config[w] for w in graph.adj[v] if w in kept}
-        color = next((c for c in range(model.q) if c not in taken), None)
-        if color is None:
-            raise PaletteExhaustedError(
-                f"no color left for vertex {v} with {model.q} colors")
-        config[v] = color
-        kept.add(v)
-
-    if not is_feasible(model, graph, config):
-        raise RuntimeError("reinsertion produced an improper coloring")
-    return config
-
-
-def fit_degree_cap(graph, start=None, ceiling=None):
-    """Smallest cap in a doubling sequence at which peeling leaves only
-    trees and unicyclic components.  Starts at twice the mean degree.
-    """
-    if graph.n == 0:
-        raise ValueError("empty graph")
-    if start is None:
-        mean = 2 * graph.m / graph.n
-        start = max(1, math.ceil(2 * mean))
-    if ceiling is None:
-        ceiling = max(graph.degree(v) for v in range(graph.n)) if graph.n \
-            else 1
-        ceiling = max(ceiling, start)
-    cap = start
-    while True:
-        kept, _ = _peel(graph, cap)
-        if all(induced_excess(graph, comp) <= 1
-               for comp in induced_components(graph, kept)):
-            return cap
-        if cap > ceiling:
-            raise PeelingError(
-                f"no degree cap up to {cap} leaves only trees and "
-                f"unicyclic components")
-        cap *= 2
+    return greedy_coloring(graph, model.q, order=_smallest_last_order(graph))
 
 
 def greedy_coloring(graph, q, order=None):

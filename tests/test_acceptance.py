@@ -83,7 +83,7 @@ def test_criterion_02_sampler_fidelity_triangle_q3():
     with runtime_budget(10):
         g = gl.Graph(3, [(0, 1), (0, 2), (1, 2)])
         m = gl.coloring_model(3)
-        start = tuple(gl.initial_configuration(m, g, 2))
+        start = tuple(gl.initial_configuration(m, g))
         law = {p: 1 / 6 for p in itertools.permutations(range(3))}
 
         part = gl.BlockPartition(

@@ -145,14 +145,40 @@ class TestSample:
         assert payload["steps"] == 0
 
     def test_infeasible_graph_rejected(self, tmp_path):
-        # coloring on a graph whose peeling never terminates
-        gp = tmp_path / "g.edges"
-        gl.write_edge_list(gl.generate_er(200, 2.0, seed=5), gp)
-        mp = tmp_path / "q5.json"
-        gl.write_model(gl.coloring_model(5), mp)
+        # the triangle has no proper 2-coloring to start from
+        gp = tmp_path / "tri.edges"
+        gl.write_edge_list(gl.Graph(3, [(0, 1), (0, 2), (1, 2)]), gp)
+        mp = tmp_path / "q2.json"
+        gl.write_model(gl.coloring_model(2), mp)
         code = main(["sample", "--model", str(mp), "--graph", str(gp),
                      "--steps", "10", "--out", str(tmp_path / "r")])
         assert code == 3
+
+    # giant components whose 2-core is neither a tree nor unicyclic
+    @pytest.mark.parametrize("n,seed,q", [(5000, 1, 3), (5000, 1, 5),
+                                          (5000, 1, 20), (200, 5, 5)])
+    def test_supercritical_coloring_starts(self, tmp_path, n, seed, q):
+        gp = tmp_path / "g.edges"
+        assert main(["gen", "--n", str(n), "--d", "2", "--seed", str(seed),
+                     "--out", str(gp)]) == 0
+        mp = tmp_path / "m.json"
+        gl.write_model(gl.coloring_model(q), mp)
+        out = tmp_path / "r"
+        code = main(["sample", "--model", str(mp), "--graph", str(gp),
+                     "--steps", "2000", "--out", str(out)])
+        assert code == 0
+        final = json.loads(out.read_text())["payload"]["final"]
+        assert gl.is_feasible(gl.coloring_model(q), gl.read_edge_list(gp),
+                              final)
+
+    @pytest.mark.parametrize("flag", [["--stride", "0"], ["--steps", "-5"]])
+    def test_bad_chain_length_is_invalid(self, triangle_files, tmp_path,
+                                         flag):
+        gp, mp = triangle_files
+        args = ["sample", "--model", str(mp), "--graph", str(gp),
+                "--steps", "10", "--out", str(tmp_path / "r")]
+        assert main(args + flag) == 3
+        assert not (tmp_path / "r.ckpt").exists()
 
 
 class TestExact:
@@ -257,6 +283,15 @@ class TestCouple:
                      "--horizon", "1000", "--out", str(tmp_path / "c")])
         assert code == 2
 
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_bad_horizon_is_invalid(self, triangle_files, tmp_path,
+                                    horizon):
+        gp, mp = triangle_files
+        assert main(["couple", "--model", str(mp), "--graph", str(gp),
+                     "--horizon", horizon]) == 3
+        assert main(["scaling", "--d", "1.0", "--sizes", "50", "--seeds",
+                     "1", "--horizon", horizon]) == 3
+
 
 class TestScaling:
     def test_single_size_slope_undefined(self, tmp_path):
@@ -292,6 +327,13 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
+        assert main(["verify", "--suite", "skeleton-joint", "--config",
+                     str(cfg)]) == 3
+
+    def test_retired_boundary_cap_rejected(self, tmp_path):
+        # no command reads it, so setting it would do nothing
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"boundary_cap": 100}))
         assert main(["verify", "--suite", "skeleton-joint", "--config",
                      str(cfg)]) == 3
 

@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import glauberlab as gl
 
@@ -154,53 +156,53 @@ class TestModelNorm:
         assert not norm.hard_constrained
 
 
+def degeneracy(graph):
+    """Naive oracle: the largest minimum degree seen while repeatedly
+    deleting a vertex of minimum degree."""
+    alive = set(range(graph.n))
+    best = 0
+    while alive:
+        deg = {v: sum(1 for w in graph.adj[v] if w in alive) for v in alive}
+        v = min(alive, key=deg.get)
+        best = max(best, deg[v])
+        alive.remove(v)
+    return best
+
+
 class TestInitialConfiguration:
     def test_even_cycle_two_colors_used(self):
-        cfg = gl.initial_configuration(gl.coloring_model(3), c6(), 2)
+        cfg = gl.initial_configuration(gl.coloring_model(3), c6())
         assert cfg == [0, 1, 0, 1, 0, 1]
         assert gl.is_feasible(gl.coloring_model(3), c6(), cfg)
 
     def test_triangle_needs_three(self):
-        cfg = gl.initial_configuration(gl.coloring_model(3), triangle(), 2)
+        cfg = gl.initial_configuration(gl.coloring_model(3), triangle())
         assert gl.is_feasible(gl.coloring_model(3), triangle(), cfg)
 
     def test_rejects_tiny_palette(self):
-        with pytest.raises(ValueError):
-            gl.initial_configuration(gl.coloring_model(2), c6(), 2)
+        with pytest.raises(gl.PaletteExhaustedError):
+            gl.initial_configuration(gl.coloring_model(2), triangle())
 
     def test_hardcore_starts_empty(self):
-        cfg = gl.initial_configuration(gl.hardcore_model(1.0), c6(), 1)
+        cfg = gl.initial_configuration(gl.hardcore_model(1.0), c6())
         assert cfg == [0] * 6
 
     def test_peeling_error_on_dense_core(self):
-        # sparse ER at mean degree 2 keeps a giant component whose 2-core
-        # has large excess; no cap below the max degree can fix that
+        # the supercritical instance whose 2-core no peeled start could
+        # color: ER at mean degree 2 has degeneracy 2, so 3 colors suffice
         g = gl.generate_er(2000, 2.0, seed=5)
-        cap = max(g.degree(v) for v in range(g.n))
-        with pytest.raises(gl.PeelingError):
-            gl.initial_configuration(gl.coloring_model(5), g, cap)
+        m = gl.coloring_model(3)
+        assert gl.is_feasible(m, g, gl.initial_configuration(m, g))
 
-    def test_cap_must_be_positive(self):
-        with pytest.raises(ValueError):
-            gl.initial_configuration(gl.coloring_model(3), c6(), 0)
-
-
-class TestFitDegreeCap:
-    def test_tree_pin(self):
-        g = gl.random_tree(9, seed=3)
-        assert gl.fit_degree_cap(g) == 4
-
-    def test_raises_when_no_cap_works(self):
-        g = gl.generate_er(200, 2.0, seed=5)
-        with pytest.raises(gl.PeelingError):
-            gl.fit_degree_cap(g)
-
-    def test_cycle_uses_doubling_start(self):
-        # search starts at ceil(2 * mean degree) = 4, which already works
-        assert gl.fit_degree_cap(c6()) == 4
-
-    def test_explicit_start_respected(self):
-        assert gl.fit_degree_cap(c6(), start=2) == 2
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 200), d=st.floats(0.5, 4.0),
+           seed=st.integers(0, 10 ** 6))
+    def test_degeneracy_plus_one_colors_suffice(self, n, d, seed):
+        # first-fit in smallest-last order (Matula and Beck, JACM 1983);
+        # coloring_model needs two colors even on an edgeless graph
+        g = gl.generate_er(n, d, seed)
+        m = gl.coloring_model(max(2, degeneracy(g) + 1))
+        assert gl.is_feasible(m, g, gl.initial_configuration(m, g))
 
 
 class TestGreedyColoring:
