@@ -97,6 +97,14 @@ def _records_json(records):
     return [r.to_json_dict() for r in records]
 
 
+def _positive(flag, cfg, key, name):
+    """The flag's value, or the config's when the flag is not given."""
+    value = flag if flag is not None else cfg[key]
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
+
+
 def cmd_gen(args, cfg):
     if not args.out:
         raise ValueError("gen writes an edge list; --out is required")
@@ -110,7 +118,7 @@ def cmd_check(args, cfg):
     g = read_edge_list(args.graph)
     hp = HypothesisParams(a=args.a, alpha=args.alpha, t=args.t,
                           delta=args.delta)
-    budget = args.budget if args.budget else cfg["node_budget"]
+    budget = _positive(args.budget, cfg, "node_budget", "budget")
     rep = check_hypothesis(g, hp, node_budget=budget,
                            log_base=args.log_base)
     payload = {
@@ -129,7 +137,7 @@ def cmd_decompose(args, cfg):
     g = read_edge_list(args.graph)
     hp = HypothesisParams(a=args.a, alpha=args.alpha, t=args.t,
                           delta=args.delta)
-    budget = args.budget if args.budget else cfg["node_budget"]
+    budget = _positive(args.budget, cfg, "node_budget", "budget")
     partition = decompose(g, hp, L=args.length_scale,
                           log_base=args.log_base,
                           scan_order=args.scan_order, node_budget=budget)
@@ -176,7 +184,7 @@ def cmd_sample(args, cfg):
 def cmd_exact(args, cfg):
     model = read_model(args.model)
     g = read_edge_list(args.graph)
-    budget = args.budget if args.budget else cfg["state_budget"]
+    budget = _positive(args.budget, cfg, "state_budget", "budget")
     chain = enumerate_states(model, g, budget=budget)
     if not chain.states:
         payload = {"states": 0, "note": "no feasible configuration"}
@@ -216,7 +224,7 @@ _SUITE_KNOBS = {
 
 def cmd_verify(args, cfg):
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    budget = args.budget if args.budget else cfg["state_budget"]
+    budget = _positive(args.budget, cfg, "state_budget", "budget")
     values = {"state_budget": budget, "horizon": cfg["mixing_horizon"],
               "boundary_samples": cfg["decay_boundary_samples"]}
     records = []
@@ -254,14 +262,6 @@ def _scaling_start_pair(model, g):
     return tuple([0] * n), tuple(taken)
 
 
-def _horizon(args, cfg):
-    horizon = args.horizon if args.horizon is not None \
-        else cfg["chain_horizon"]
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    return horizon
-
-
 def _scaling_cell(cell):
     n, d, q, beta, cell_seed, horizon = cell
     model = coloring_model(q) if beta is None else hardcore_model(beta)
@@ -273,7 +273,7 @@ def _scaling_cell(cell):
 
 
 def cmd_scaling(args, cfg):
-    horizon = _horizon(args, cfg)
+    horizon = _positive(args.horizon, cfg, "chain_horizon", "horizon")
     cells = []
     for n in args.sizes:
         for i in range(args.seeds):
@@ -327,7 +327,7 @@ def cmd_scaling(args, cfg):
 def cmd_couple(args, cfg):
     model = read_model(args.model)
     g = read_edge_list(args.graph)
-    horizon = _horizon(args, cfg)
+    horizon = _positive(args.horizon, cfg, "chain_horizon", "horizon")
     a, b = _scaling_start_pair(model, g)
     hamming = sum(1 for x, y in zip(a, b) if x != y)
     steps = coalescence_time(model, g, a, b, horizon, seed=args.seed,

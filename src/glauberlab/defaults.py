@@ -1,8 +1,9 @@
 """All numeric defaults in one place, overridable by a JSON config file.
 
 Flags override config values, which override these defaults.  The config
-file is a flat JSON object using exactly the keys below; unknown keys are
-rejected so typos surface instead of silently falling back.
+file is a flat JSON object using exactly the keys below, each of its
+default's type; unknown keys are rejected so typos surface instead of
+silently falling back.
 """
 
 import json
@@ -43,5 +44,11 @@ def load_config(path=None):
     unknown = sorted(set(data) - set(DEFAULTS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in data.items():
+        want = type(DEFAULTS[key])
+        # a bool is not an int, but an int may stand for a float
+        if type(value) is not want and (want, type(value)) != (float, int):
+            raise ValueError(f"config key {key} must be a {want.__name__}, "
+                             f"got {value!r}")
     cfg.update(data)
     return cfg

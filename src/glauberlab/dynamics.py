@@ -17,8 +17,6 @@ from .models import (HeatBath, initial_configuration, is_feasible,
 from .rng import make_rng, rng_state_from_hex, rng_state_to_hex, sample_index
 from .trees import build_tree_tables, tree_sample
 
-DEFAULT_CHAIN_HORIZON = 10 ** 8
-
 
 @dataclass
 class ChainState:
@@ -27,27 +25,59 @@ class ChainState:
     rng: object
 
 
-def _glauber_update(kernel, config, rng, lazy=True):
-    """One update in place; returns (v, old, new) or None when held."""
-    if lazy and rng.random() < 0.5:
-        return None
-    v = rng.randrange(kernel.graph.n)
-    u = rng.random()
-    old = config[v]
-    x = kernel.draw(config, v, u)
-    config[v] = x
-    return v, old, x
-
-
-def _checked_stride(steps, stride):
-    """The trace stride, by default about 10^4 rows per run."""
+def _checked_start(model, graph, start, steps):
+    start = tuple(start)
+    if not is_feasible(model, graph, start):
+        raise ValueError("start configuration is infeasible")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
+    return start
+
+
+def _single_site(kernel, rng, lazy):
+    """``step(config)``: one update in place, in the module's draw order.
+
+    Returns the (vertex, previous state) pairs it rewrote: one, or none
+    when a lazy step holds.
+    """
+    n = kernel.graph.n
+    draw = kernel.draw
+    coin = uniform = rng.random
+    vertex = rng.randrange
+
+    def step(config):
+        if lazy and coin() < 0.5:
+            return ()
+        v = vertex(n)
+        old = config[v]
+        config[v] = draw(config, v, uniform())
+        return ((v, old),)
+    return step
+
+
+def _traced(model, graph, start, steps, rng, step, reference=None,
+            stride=None):
+    """Run ``step`` from start with run_chain's trace rows, keeping
+    hamming and active from the pairs each step reports."""
+    start = _checked_start(model, graph, start, steps)
+    reference = start if reference is None else tuple(reference)
     if stride is None:
-        return max(1, steps // 10 ** 4)
-    if stride < 1:
+        stride = max(1, steps // 10 ** 4)
+    elif stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
-    return stride
+    config = list(start)
+    hamming = sum(1 for a, b in zip(config, reference) if a != b)
+    active = sum(1 for a in config if a != 0)
+    trace = [(0, hamming, active)]
+    for t in range(1, steps + 1):
+        for v, old in step(config):
+            new = config[v]
+            if old != new:
+                hamming += (new != reference[v]) - (old != reference[v])
+                active += (new != 0) - (old != 0)
+        if t % stride == 0 or t == steps:
+            trace.append((t, hamming, active))
+    return ChainState(config=tuple(config), step=steps, rng=rng), trace
 
 
 def run_chain(model, graph, start, steps, seed=0, lazy=True,
@@ -59,43 +89,23 @@ def run_chain(model, graph, start, steps, seed=0, lazy=True,
     Rows are written at step 0, every ``stride`` steps, and at the end;
     stride defaults to about 10^4 rows per run.
     """
-    start = tuple(start)
-    if not is_feasible(model, graph, start):
-        raise ValueError("start configuration is infeasible")
-    reference = start if reference is None else tuple(reference)
-    stride = _checked_stride(steps, stride)
     rng = make_rng(seed, "chain")
-    kernel = HeatBath(model, graph)
-    config = list(start)
-    hamming = sum(1 for a, b in zip(config, reference) if a != b)
-    active = sum(1 for a in config if a != 0)
-    trace = [(0, hamming, active)]
-    for step in range(1, steps + 1):
-        moved = _glauber_update(kernel, config, rng, lazy=lazy)
-        if moved is not None:
-            v, old, new = moved
-            if old != new:
-                hamming += (new != reference[v]) - (old != reference[v])
-                active += (new != 0) - (old != 0)
-        if step % stride == 0 or step == steps:
-            trace.append((step, hamming, active))
-    return ChainState(config=tuple(config), step=steps, rng=rng), trace
+    step = _single_site(HeatBath(model, graph), rng, lazy)
+    return _traced(model, graph, start, steps, rng, step, reference, stride)
 
 
 def visit_counts(model, graph, start, steps, seed=0, lazy=True):
     """Empirical law over the configurations seen after each update."""
-    start = tuple(start)
-    if not is_feasible(model, graph, start):
-        raise ValueError("start configuration is infeasible")
-    rng = make_rng(seed, "chain")
-    kernel = HeatBath(model, graph)
+    start = _checked_start(model, graph, start, steps)
+    step = _single_site(HeatBath(model, graph), make_rng(seed, "chain"),
+                        lazy)
     config = list(start)
     cur = start
     counts = {}
     for _ in range(steps):
-        moved = _glauber_update(kernel, config, rng, lazy=lazy)
-        if moved is not None and moved[1] != moved[2]:
-            cur = tuple(config)
+        for v, old in step(config):
+            if config[v] != old:
+                cur = tuple(config)
         counts[cur] = counts.get(cur, 0) + 1
     return counts
 
@@ -120,11 +130,9 @@ def read_checkpoint(path):
 
 def resume_chain(model, graph, state, steps, lazy=True):
     """Continue a checkpointed run; extends it by ``steps`` updates."""
-    kernel = HeatBath(model, graph)
-    config = list(state.config)
-    for _ in range(steps):
-        _glauber_update(kernel, config, state.rng, lazy=lazy)
-    return ChainState(config=tuple(config), step=state.step + steps,
+    step = _single_site(HeatBath(model, graph), state.rng, lazy)
+    end, _ = _traced(model, graph, state.config, steps, state.rng, step)
+    return ChainState(config=end.config, step=state.step + steps,
                       rng=state.rng)
 
 
@@ -247,23 +255,20 @@ def contraction_probe(model, graph, pairs=20, seed=0, burn_factor=10):
     results = []
     worst = None
     for k in range(pairs):
-        rng = make_rng(seed, "probe", k)
+        step = _single_site(kernel, make_rng(seed, "probe", k), False)
         config = list(start)
         for _ in range(burn_factor * n):
-            _glauber_update(kernel, config, rng, lazy=False)
-        v0 = None
-        alt = None
+            step(config)
+        # one more update on a copy: the first that changes its vertex
+        # leaves the twin one flip away from config
+        twin = list(config)
         for _ in range(10 * n):
-            v = rng.randrange(n)
-            x = kernel.draw(config, v, rng.random())
-            if x != config[v]:
-                v0, alt = v, x
+            (v0, old), = step(twin)
+            if twin[v0] != old:
                 break
-        if v0 is None:
+        else:
             raise NoFeasibleStateError(
                 "no unit pair found: every sampled vertex is frozen")
-        twin = list(config)
-        twin[v0] = alt
         tv_sum = 0.0
         for w in graph.adj[v0]:
             p = kernel.pmf(config, w)
@@ -300,13 +305,12 @@ def block_step(model, graph, partition, config, rng, kernel=None):
                 boundary[w] = config[w]
     if block.kind == "skeleton":
         joint = skeleton_joint(model, graph, block, boundary)
-        xi = joint.sample(rng)
-        wpos = {w: i for i, w in enumerate(joint.w_vertices)}
-        for w, i in wpos.items():
-            config[w] = xi[i]
+        for w, x in zip(joint.w_vertices, joint.sample(rng)):
+            config[w] = x
         for piece in block.pieces:
+            pset = set(piece.vertices)
             pinned = {x: config[x] for u in piece.vertices
-                      for x in graph.adj[u] if x not in set(piece.vertices)}
+                      for x in graph.adj[u] if x not in pset}
             tables = build_tree_tables(model, graph, piece.vertices, pinned)
             for v, x in tree_sample(tables, rng).items():
                 config[v] = x
@@ -321,25 +325,16 @@ def run_block_chain(model, graph, partition, start, steps, seed=0,
                     reference=None, stride=None):
     """Block-dynamics analogue of run_chain with the same trace format."""
     start = tuple(start)
-    if not is_feasible(model, graph, start):
-        raise ValueError("start configuration is infeasible")
-    reference = start if reference is None else tuple(reference)
-    stride = _checked_stride(steps, stride)
     rng = make_rng(seed, "block-chain")
     kernel = HeatBath(model, graph)
-    config = list(start)
+    blocks = partition.blocks
     before = list(start)
-    hamming = sum(1 for a, b in zip(config, reference) if a != b)
-    active = sum(1 for a in config if a != 0)
-    trace = [(0, hamming, active)]
-    for step in range(1, steps + 1):
+
+    def step(config):
         k = block_step(model, graph, partition, config, rng, kernel=kernel)
-        for v in partition.blocks[k].vertices:
-            old, new = before[v], config[v]
-            if old != new:
-                hamming += (new != reference[v]) - (old != reference[v])
-                active += (new != 0) - (old != 0)
-                before[v] = new
-        if step % stride == 0 or step == steps:
-            trace.append((step, hamming, active))
-    return ChainState(config=tuple(config), step=steps, rng=rng), trace
+        moved = []
+        for v in blocks[k].vertices:
+            moved.append((v, before[v]))
+            before[v] = config[v]
+        return moved
+    return _traced(model, graph, start, steps, rng, step, reference, stride)

@@ -344,16 +344,26 @@ def model_to_json_dict(model):
     return data
 
 
+def _json_number(x, types=(int, float)):
+    if isinstance(x, bool) or not isinstance(x, types):
+        raise ValueError(f"model value {x!r} is not a number")
+    return x
+
+
 def model_from_json_dict(data):
-    dec = lambda x: NEG_INF if x == "-inf" else float(x)
+    if not isinstance(data, dict):
+        raise ValueError("model file must hold a JSON object")
+    dec = lambda x: NEG_INF if x == "-inf" else float(_json_number(x))
     kind = data["kind"]
+    if not (isinstance(data["h"], list) and isinstance(data["g"], list)
+            and all(isinstance(row, list) for row in data["g"])):
+        raise ValueError("model h must be a list and g a list of lists")
     h = tuple(dec(x) for x in data["h"])
     g = tuple(tuple(dec(x) for x in row) for row in data["g"])
-    beta = data.get("beta")
     if kind == "hardcore":
-        return hardcore_model(beta)
+        return hardcore_model(_json_number(data.get("beta")))
     if kind == "coloring":
-        return coloring_model(data["q"])
+        return coloring_model(_json_number(data["q"], int))
     return soft_model(h, g)
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryInfeasibleError
+from .graphs import induced_components
 from .models import NEG_INF
 from .rng import derive_seed, sample_index
 
@@ -28,30 +29,16 @@ def _exp_tables(model):
 def _forest_structure(graph, block, roots):
     """Parents, children and a roots-first order; rejects cycles."""
     bset = set(block)
-    comp_of = {}
-    comp_roots = []
-    for v in sorted(bset):
-        if v in comp_of:
-            continue
-        stack = [v]
-        comp_of[v] = len(comp_roots)
-        members = [v]
-        while stack:
-            u = stack.pop()
-            for w in graph.adj[u]:
-                if w in bset and w not in comp_of:
-                    comp_of[w] = len(comp_roots)
-                    members.append(w)
-                    stack.append(w)
-        comp_roots.append(min(members))
+    comps = induced_components(graph, bset)
     if roots is None:
-        roots = tuple(comp_roots)
+        roots = tuple(c[0] for c in comps)
     else:
         roots = tuple(roots)
-        if len(roots) != len(comp_roots):
+        if len(roots) != len(comps):
             raise ValueError(
                 f"need one root per component: got {len(roots)}, "
-                f"forest has {len(comp_roots)}")
+                f"forest has {len(comps)}")
+        comp_of = {v: i for i, c in enumerate(comps) for v in c}
         seen_comps = {comp_of[r] for r in roots if r in bset}
         if any(r not in bset for r in roots) or len(seen_comps) != len(roots):
             raise ValueError("roots must cover each component exactly once")
@@ -62,10 +49,11 @@ def _forest_structure(graph, block, roots):
     visited = set()
     for r in roots:
         visited.add(r)
+        head = len(order)
         order.append(r)
-        queue = [r]
-        while queue:
-            u = queue.pop(0)
+        while head < len(order):
+            u = order[head]
+            head += 1
             for w in graph.adj[u]:
                 if w not in bset:
                     continue
@@ -79,7 +67,6 @@ def _forest_structure(graph, block, roots):
                 parent[w] = u
                 children[u].append(w)
                 order.append(w)
-                queue.append(w)
     return roots, parent, children, tuple(order)
 
 

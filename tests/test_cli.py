@@ -377,3 +377,63 @@ class TestOutputEnvelope:
                   "--out", str(out)])
             digests.append(payload_digest(out))
         assert digests[0] == digests[1]
+
+
+class TestBudgetFlag:
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["check", "decompose", "exact",
+                                         "verify"])
+    def test_below_one_is_invalid(self, triangle_files, tmp_path, command,
+                                  budget):
+        gp, mp = triangle_files
+        params = ["--a", "0.2", "--alpha", "0.25", "--t", "1", "--delta",
+                  "1.6"]
+        args = {"check": ["check", str(gp)] + params,
+                "decompose": ["decompose", str(gp)] + params,
+                "exact": ["exact", "--model", str(mp), "--graph", str(gp)],
+                "verify": ["verify", "--suite", "skeleton-joint"]}[command]
+        out = tmp_path / "o.json"
+        assert main(args + ["--budget", budget, "--out", str(out)]) == 3
+        assert not out.exists()
+
+
+class TestMalformedJson:
+    def test_model_not_an_object(self, triangle_files, tmp_path):
+        gp, _ = triangle_files
+        mp = tmp_path / "m.json"
+        mp.write_text("[]")
+        assert main(["exact", "--model", str(mp), "--graph", str(gp)]) == 3
+
+    def test_non_numeric_activity(self, triangle_files, tmp_path):
+        gp, _ = triangle_files
+        mp = tmp_path / "m.json"
+        data = gl.model_to_json_dict(gl.hardcore_model(1.0))
+        data["beta"] = "x"
+        mp.write_text(json.dumps(data))
+        assert main(["exact", "--model", str(mp), "--graph", str(gp)]) == 3
+
+    def test_non_numeric_config_value(self, triangle_files, tmp_path):
+        gp, mp = triangle_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"state_budget": "big"}))
+        assert main(["exact", "--model", str(mp), "--graph", str(gp),
+                     "--config", str(cfg)]) == 3
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("data", [{"state_budget": "big"},
+                                      {"node_budget": True},
+                                      {"seed": 1.5},
+                                      {"log_base": "e"},
+                                      {"scan_order": 1}])
+    def test_wrong_type_rejected(self, tmp_path, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        with pytest.raises(ValueError):
+            gl_cli.load_config(cfg)
+
+    def test_int_log_base_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"log_base": 2, "seed": 4}))
+        got = gl_cli.load_config(cfg)
+        assert got["log_base"] == 2 and got["seed"] == 4

@@ -269,3 +269,101 @@ class TestBlockChain:
         assert trace == want
         assert tuple(st.config) == tuple(cfg)
         assert len({row[1:] for row in trace}) > 5
+
+
+def skeleton_instance():
+    # TestBlockChain's skeleton block with two hanging trees beside
+    # four singletons
+    g = gl.Graph(10, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (2, 5),
+                      (5, 6), (6, 7), (3, 8), (8, 9)])
+    skel = gl.Block(kind="skeleton", vertices=(0, 1, 2, 3, 4, 5),
+                    skeleton=(0, 1, 2, 3),
+                    pieces=(gl.Piece(root=0, vertices=(4,)),
+                            gl.Piece(root=2, vertices=(5,))))
+    part = gl.BlockPartition(
+        blocks=(skel,) + tuple(gl.Block(kind="singleton", vertices=(v,))
+                               for v in (6, 7, 8, 9)),
+        L=1.0, log_base=math.e)
+    return g, part
+
+
+class TestPinnedDraws:
+    """Exact outputs of every chain loop, recorded before the loops
+    shared one stepper; any change to the draw order moves them."""
+
+    @pytest.mark.parametrize("lazy, want", [
+        (True, {(0, 1, 0): 8, (0, 2, 0): 3, (0, 2, 1): 10, (1, 0, 1): 5,
+                (1, 0, 2): 10, (1, 2, 0): 15, (1, 2, 1): 9}),
+        (False, {(0, 1, 0): 6, (0, 1, 2): 3, (0, 2, 0): 7, (0, 2, 1): 7,
+                 (1, 2, 0): 12, (1, 2, 1): 9, (2, 1, 0): 9,
+                 (2, 1, 2): 7}),
+    ])
+    def test_visit_counts(self, lazy, want):
+        assert gl.visit_counts(gl.coloring_model(3), path3(), (0, 1, 0),
+                               60, seed=4, lazy=lazy) == want
+
+    def test_block_chain(self):
+        g, part = skeleton_instance()
+        st, trace = gl.run_block_chain(
+            gl.coloring_model(4), g, part, (0, 1, 0, 1, 1, 1, 0, 1, 0, 1),
+            40, seed=5, reference=(1, 0, 1, 0, 2, 3, 1, 2, 3, 0), stride=4)
+        assert st.config == (1, 3, 1, 0, 0, 2, 0, 2, 3, 2)
+        assert st.step == 40
+        assert trace == [(0, 10, 6), (4, 10, 6), (8, 10, 7), (12, 8, 8),
+                         (16, 9, 8), (20, 9, 8), (24, 9, 6), (28, 4, 6),
+                         (32, 4, 7), (36, 2, 8), (40, 5, 7)]
+
+    def test_contraction_probe_pairs(self):
+        c5 = gl.Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+        pr = gl.contraction_probe(gl.coloring_model(6), c5, pairs=10,
+                                  seed=2)
+        near, far = (-0.11000000000000001, 0.44999999999999996), (-0.1, 0.5)
+        want = [(0, near), (3, near), (1, near), (2, far), (2, near),
+                (4, far), (1, near), (4, near), (1, near), (2, near)]
+        assert pr.pairs == [{"vertex": v, "delta": d, "tv_sum": s}
+                            for v, (d, s) in want]
+        assert pr.worst_delta == -0.1
+
+
+class TestResume:
+    @pytest.mark.parametrize("model, graph, start, lazy", [
+        (gl.coloring_model(4), triangle(), (0, 1, 2), False),
+        (gl.hardcore_model(1.5), path3(), (0, 0, 0), True),
+        (gl.hardcore_model(0.7), gl.generate_er(40, 2.0, seed=1),
+         (0,) * 40, False),
+    ])
+    def test_matches_uninterrupted(self, tmp_path, model, graph, start,
+                                   lazy):
+        full, _ = gl.run_chain(model, graph, start, 900, seed=21, lazy=lazy)
+        part, _ = gl.run_chain(model, graph, start, 400, seed=21, lazy=lazy)
+        p = tmp_path / "part.ckpt"
+        gl.write_checkpoint(p, part)
+        resumed = gl.resume_chain(model, graph, gl.read_checkpoint(p), 500,
+                                  lazy=lazy)
+        assert resumed.config == full.config
+        assert resumed.step == 900
+        assert resumed.rng.getstate() == full.rng.getstate()
+
+    def test_rejects_infeasible_state(self):
+        state = gl.ChainState(config=(0, 0, 1), step=3,
+                              rng=gl.make_rng(1, "chain"))
+        with pytest.raises(ValueError):
+            gl.resume_chain(gl.coloring_model(3), path3(), state, 10)
+
+
+class TestNegativeSteps:
+    def test_resume_rejects(self):
+        st, _ = gl.run_chain(gl.coloring_model(3), path3(), (0, 1, 0), 20,
+                             seed=1)
+        with pytest.raises(ValueError):
+            gl.resume_chain(gl.coloring_model(3), path3(), st, -5)
+
+    def test_visit_counts_rejects(self):
+        with pytest.raises(ValueError):
+            gl.visit_counts(gl.coloring_model(3), path3(), (0, 1, 0), -5)
+
+    def test_block_chain_rejects(self):
+        g, part = skeleton_instance()
+        with pytest.raises(ValueError):
+            gl.run_block_chain(gl.coloring_model(4), g, part,
+                               (0, 1, 0, 1, 1, 1, 0, 1, 0, 1), -5)

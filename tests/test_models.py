@@ -246,3 +246,27 @@ class TestModelIO:
             gl.parse_configuration("0 5 1", model=gl.coloring_model(3))
         with pytest.raises(ValueError):
             gl.parse_configuration("0 1", graph=path3())
+
+
+class TestModelJsonValidation:
+    @pytest.mark.parametrize("data", [
+        [],
+        "coloring",
+        {"kind": "coloring", "q": "3", "h": [0, 0, 0],
+         "g": [["-inf", 0, 0], [0, "-inf", 0], [0, 0, "-inf"]]},
+        {"kind": "hardcore", "q": 2, "h": [0, 1], "g": [[0, 0], [0, "-inf"]],
+         "beta": True},
+        {"kind": "hardcore", "q": 2, "h": [0, 1], "g": [[0, 0], [0, "-inf"]],
+         "beta": None},
+        {"kind": "soft", "q": 2, "h": [0, None], "g": [[0, 0], [0, 0]]},
+        {"kind": "soft", "q": 2, "h": 5, "g": [[0, 0], [0, 0]]},
+        {"kind": "soft", "q": 2, "h": [0, 0], "g": [[0, 0], 0]},
+    ])
+    def test_malformed_raises_value_error(self, data):
+        with pytest.raises(ValueError):
+            gl.model_from_json_dict(data)
+
+    def test_integer_activity_accepted(self):
+        data = gl.model_to_json_dict(gl.hardcore_model(2.0))
+        data["beta"] = 2
+        assert gl.model_from_json_dict(data) == gl.hardcore_model(2.0)
