@@ -128,8 +128,7 @@ def _find_rule_iii(g, W, cap, budget, high):
     # cap is irrelevant here: a double-attached vertex always joins.
     if not W:
         return None
-    scan = range(g.n - 1, -1, -1) if high else range(g.n)
-    for v in scan:
+    for v in (range(g.n - 1, -1, -1) if high else range(g.n)):
         if v in W:
             continue
         budget.spend()
@@ -142,90 +141,81 @@ def _find_rule_iii(g, W, cap, budget, high):
     return None
 
 
-def _bfs_path(parent, s, t):
-    path = [t]
-    while path[-1] != s:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return tuple(path)
+def _short_path(g, W, s, ends, max_dist, budget, banned=None):
+    """Shortest path from s through V-W to the first vertex of ends within
+    max_dist edges, never using edge (s, banned); spends once per expansion."""
+    parent = {s: None}
+    frontier = [s]
+    depth = 0
+    while frontier and depth < max_dist:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            budget.spend()
+            for w in g.adj[u]:
+                if w in W or w in parent or (u == s and w == banned):
+                    continue
+                parent[w] = u
+                if w in ends:
+                    path = []
+                    while w is not None:
+                        path.append(w)
+                        w = parent[w]
+                    return tuple(reversed(path))
+                nxt.append(w)
+        frontier = nxt
+    return None
 
 
 def _find_rule_ii(g, W, cap, budget, high):
-    # Path of m vertices needs m = dist+1 in [2, cap).
+    # Path of m = dist+1 vertices with 2 <= m < cap, so dist <= ceil(cap)-2.
     if cap <= 2.0 or not W:
         return None
-    max_dist = math.ceil(cap) - 1
-    while max_dist + 1 >= cap:
-        max_dist -= 1
-    if max_dist < 1:
-        return None
-    scan = range(g.n - 1, -1, -1) if high else range(g.n)
-    anchored = set()
-    for v in range(g.n):
-        if v not in W and any(w in W for w in g.adj[v]):
-            anchored.add(v)
-    for s in scan:
-        if s not in anchored:
-            continue
-        parent = {s: None}
-        frontier = [s]
-        depth = 0
-        while frontier and depth < max_dist:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                budget.spend()
-                for w in g.adj[u]:
-                    if w in W or w in parent:
-                        continue
-                    parent[w] = u
-                    if w in anchored:
-                        return _bfs_path(parent, s, w)
-                    nxt.append(w)
-            frontier = nxt
+    anchored = {v for v in range(g.n)
+                if v not in W and any(w in W for w in g.adj[v])}
+    for s in sorted(anchored, reverse=high):
+        path = _short_path(g, W, s, anchored, math.ceil(cap) - 2, budget)
+        if path:
+            return path
     return None
 
 
 def _find_rule_i(g, W, cap, budget, high):
-    # Cycle of m vertices needs m = dist+1 in [3, cap), where dist is the
+    # Cycle of m = dist+1 vertices with 3 <= m < cap, where dist is the
     # length of the shortest path between the edge's ends avoiding it.
     if cap <= 3.0:
         return None
-    max_dist = math.ceil(cap) - 1
-    while max_dist + 1 >= cap:
-        max_dist -= 1
     edges = [e for e in g.edges if e[0] not in W and e[1] not in W]
-    if high:
-        edges = list(reversed(edges))
-    for u, v in edges:
-        parent = {u: None}
-        frontier = [u]
-        depth = 0
-        found = None
-        while frontier and depth < max_dist and found is None:
-            depth += 1
-            nxt = []
-            for x in frontier:
-                budget.spend()
-                for w in g.adj[x]:
-                    if w in W or w in parent:
-                        continue
-                    if x == u and w == v:
-                        continue
-                    parent[w] = x
-                    if w == v:
-                        found = _bfs_path(parent, u, v)
-                        break
-                    nxt.append(w)
-                if found:
-                    break
-            frontier = nxt
-        if found and len(found) >= 3:
-            return found
+    for u, v in (reversed(edges) if high else edges):
+        path = _short_path(g, W, u, {v}, math.ceil(cap) - 2, budget,
+                           banned=v)
+        if path:
+            return path
     return None
 
 
-_RULES = {"i": _find_rule_i, "ii": _find_rule_ii, "iii": _find_rule_iii}
+# Rule order when scanning up; scanning down tries them in reverse.
+_RULES = (("iii", _find_rule_iii), ("ii", _find_rule_ii),
+          ("i", _find_rule_i))
+
+
+def _first_rule(g, W, cap, budget, high):
+    """(name, addition) of the first rule that fires on W, or None."""
+    for name, rule in (_RULES[::-1] if high else _RULES):
+        addition = rule(g, W, cap, budget, high)
+        if addition:
+            return name, addition
+    return None
+
+
+def _log_n(n, log_base):
+    return math.log(n) / math.log(log_base) if n > 1 else 0.0
+
+
+def _rule_cap(g, L, log_base):
+    if L <= 0:
+        raise ValueError("block scale must be positive")
+    return 5.0 * L * _log_n(g.n, log_base)
 
 
 def _check_skeleton_bounds(g, W, size_cap, t):
@@ -260,25 +250,14 @@ def build_skeleton(g, labeling, L, t, log_base=math.e, scan_order="low",
     del labeling
     if scan_order not in ("low", "high"):
         raise ValueError(f"unknown scan order {scan_order!r}")
-    if L <= 0:
-        raise ValueError("block scale must be positive")
-    logn = math.log(g.n) / math.log(log_base) if g.n > 1 else 0.0
-    cap = 5.0 * L * logn
-    size_cap = 20.0 * t * L * logn
+    cap = _rule_cap(g, L, log_base)
+    size_cap = 20.0 * t * L * _log_n(g.n, log_base)
     high = scan_order == "high"
-    order = ("i", "ii", "iii") if high else ("iii", "ii", "i")
     budget = _SearchBudget(node_budget)
 
     W = set()
-    while True:
-        addition = None
-        for name in order:
-            addition = _RULES[name](g, W, cap, budget, high)
-            if addition:
-                break
-        if not addition:
-            break
-        W.update(addition)
+    while found := _first_rule(g, W, cap, budget, high):
+        W.update(found[1])
         _check_skeleton_bounds(g, W, size_cap, t)
     return induced_components(g, W)
 
@@ -286,14 +265,9 @@ def build_skeleton(g, labeling, L, t, log_base=math.e, scan_order="low",
 def has_applicable_rule(g, W, L, log_base=math.e,
                         node_budget=DEFAULT_NODE_BUDGET):
     """Name of the first rule that can still fire, or None at a fixed point."""
-    logn = math.log(g.n) / math.log(log_base) if g.n > 1 else 0.0
-    cap = 5.0 * L * logn
-    budget = _SearchBudget(node_budget)
-    Wset = set(W)
-    for name in ("iii", "ii", "i"):
-        if _RULES[name](g, Wset, cap, budget, False):
-            return name
-    return None
+    found = _first_rule(g, set(W), _rule_cap(g, L, log_base),
+                        _SearchBudget(node_budget), False)
+    return found[0] if found else None
 
 
 @dataclass(frozen=True)
@@ -455,7 +429,7 @@ def validate_partition(g, partition, labeling=None):
     if labeling is None:
         labeling = partition.labeling
     L = partition.L
-    logn = math.log(g.n) / math.log(partition.log_base) if g.n > 1 else 0.0
+    logn = _log_n(g.n, partition.log_base)
     report = Report()
     blocks = partition.blocks
 

@@ -19,7 +19,7 @@ import time
 from datetime import datetime, timezone
 
 from .blocks import decompose, validate_partition, write_partition
-from .defaults import load_config
+from .defaults import CHOICES, load_config
 from .dynamics import (coalescence_time, run_chain, write_checkpoint)
 from .errors import (BudgetExceededError, DegenerateChainError,
                      HorizonExceededError)
@@ -273,6 +273,13 @@ def _scaling_cell(cell):
 
 
 def cmd_scaling(args, cfg):
+    if args.beta is None:
+        args.q = 20 if args.q is None else args.q
+    elif args.q is not None:
+        raise ValueError("--q (colourings) and --beta (hardcore) exclude "
+                         "each other")
+    if min(args.seeds, args.workers) < 1:
+        raise ValueError("--seeds and --workers must be at least 1")
     horizon = _positive(args.horizon, cfg, "chain_horizon", "horizon")
     cells = []
     for n in args.sizes:
@@ -348,7 +355,7 @@ def build_parser():
                         dest="log_base",
                         help="base of logarithms in length scales")
     common.add_argument("--out", default=None, help="output path")
-    common.add_argument("--format", choices=("json", "csv"), default=None)
+    common.add_argument("--format", choices=CHOICES["format"], default=None)
     common.add_argument("--config", default=None,
                         help="JSON config file overriding defaults")
 
@@ -384,8 +391,8 @@ def build_parser():
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--length-scale", type=float, default=None,
                     dest="length_scale", help="override the block scale L")
-    sp.add_argument("--scan-order", choices=("low", "high"), default=None,
-                    dest="scan_order")
+    sp.add_argument("--scan-order", choices=CHOICES["scan_order"],
+                    default=None, dest="scan_order")
     sp.add_argument("--partition-out", default=None, dest="partition_out",
                     help="write the partition JSON here")
     sp.set_defaults(func=cmd_decompose)
@@ -453,9 +460,6 @@ def main(argv=None):
             args.format = cfg["format"]
         if getattr(args, "scan_order", "") is None:
             args.scan_order = cfg["scan_order"]
-        if args.command == "scaling" and args.q is None and \
-                args.beta is None:
-            args.q = 20
         return args.func(args, cfg)
     except (BudgetExceededError, HorizonExceededError) as exc:
         print(f"{args.command}: budget exhausted: {exc}", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 Flags override config values, which override these defaults.  The config
 file is a flat JSON object using exactly the keys below, each of its
-default's type; unknown keys are rejected so typos surface instead of
-silently falling back.
+default's type, and the keys in CHOICES one of their listed values;
+unknown keys are rejected so typos surface instead of silently falling
+back.
 """
 
 import json
@@ -31,6 +32,9 @@ DEFAULTS = {
     "format": "json",
 }
 
+# The values a string key may take; the CLI flags offer the same.
+CHOICES = {"scan_order": ("low", "high"), "format": ("json", "csv")}
+
 
 def load_config(path=None):
     """DEFAULTS merged with the JSON object at path (if given)."""
@@ -50,5 +54,8 @@ def load_config(path=None):
         if type(value) is not want and (want, type(value)) != (float, int):
             raise ValueError(f"config key {key} must be a {want.__name__}, "
                              f"got {value!r}")
+        if key in CHOICES and value not in CHOICES[key]:
+            raise ValueError(f"config key {key} must be one of "
+                             f"{', '.join(CHOICES[key])}, got {value!r}")
     cfg.update(data)
     return cfg

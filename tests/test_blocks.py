@@ -155,6 +155,37 @@ class TestBuildSkeleton:
         g = c6()
         assert gl.has_applicable_rule(g, [1, 3], 1.0) == "iii"
 
+    def test_rule_i_fires_on_empty_w(self):
+        assert gl.has_applicable_rule(c6(), [], 1.0) == "i"
+
+    def test_rule_ii_fires_beside_w(self):
+        # 1 and 5 both touch W = {0}, joined by the path 1-2-3-4-5
+        assert gl.has_applicable_rule(c6(), [0], 1.0) == "ii"
+
+    @pytest.mark.parametrize("L", [0.0, -1.0])
+    def test_has_applicable_rule_rejects_nonpositive_scale(self, L):
+        with pytest.raises(ValueError):
+            gl.has_applicable_rule(c6(), [1, 3], L)
+
+    # Total rule-search spend to the fixed point, recorded on the
+    # hand-written BFS loops this search replaced: a node_budget equal to
+    # it passes and one below it raises.
+    @pytest.mark.parametrize("seed, order, spend, size", [
+        (100, "low", 660, 37), (100, "high", 1052, 37),
+        (101, "low", 635, 43), (101, "high", 861, 43),
+        (102, "low", 706, 40), (102, "high", 620, 40),
+    ])
+    def test_search_spend_pinned(self, seed, order, spend, size):
+        g = gl.generate_er(60, 2.5, seed=seed)
+        lab = self.good_labeling(g)
+        L = 2 / math.log(g.n)
+        comps = gl.build_skeleton(g, lab, L, t=1000, scan_order=order,
+                                  node_budget=spend)
+        assert sum(len(c) for c in comps) == size
+        with pytest.raises(gl.BudgetExceededError):
+            gl.build_skeleton(g, lab, L, t=1000, scan_order=order,
+                              node_budget=spend - 1)
+
     def test_rejects_bad_scan_order(self):
         with pytest.raises(ValueError):
             gl.build_skeleton(c6(), self.good_labeling(c6()), L=1.0, t=1,

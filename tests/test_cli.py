@@ -420,6 +420,48 @@ class TestMalformedJson:
                      "--config", str(cfg)]) == 3
 
 
+class TestConfigChoices:
+    def test_unknown_format_is_invalid(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        out = tmp_path / "v.out"
+        assert main(["verify", "--suite", "skeleton-joint", "--config",
+                     str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_unknown_scan_order_is_invalid(self, triangle_files, tmp_path):
+        gp, _ = triangle_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scan_order": "sideways"}))
+        assert main(["check", str(gp), "--a", "0.2", "--alpha", "0.25",
+                     "--t", "1", "--delta", "1.6", "--config", str(cfg),
+                     "--out", str(tmp_path / "c.json")]) == 3
+
+
+class TestScalingFlags:
+    def test_q_with_beta_is_invalid(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert main(["scaling", "--d", "1.0", "--q", "5", "--beta", "1.0",
+                     "--sizes", "50", "--seeds", "1", "--out",
+                     str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--seeds", "--workers"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_below_one_is_invalid(self, tmp_path, flag, value):
+        out = tmp_path / "s.json"
+        assert main(["scaling", "--d", "1.0", "--sizes", "50", flag, value,
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_beta_alone_runs_hardcore(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert main(["scaling", "--d", "1.0", "--beta", "1.0", "--sizes",
+                     "50", "--seeds", "1", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["payload"]["rows"]
+        assert [(r["q"], r["beta"]) for r in rows] == [(None, 1.0)]
+
+
 class TestConfigTypes:
     @pytest.mark.parametrize("data", [{"state_budget": "big"},
                                       {"node_budget": True},
