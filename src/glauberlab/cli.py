@@ -50,7 +50,9 @@ def _emit(args, command, payload, meta_extra=None, code=EXIT_PASS):
         if fmt == "csv":
             rows = payload.get("records") or payload.get("rows")
             if rows is None:
-                raise ValueError("csv output needs tabular payload")
+                # no table: the scalar fields make one row
+                rows = [{k: v for k, v in payload.items()
+                         if not isinstance(v, (list, dict))}]
             with open(args.out, "w", newline="", encoding="utf-8") as fh:
                 fh.write(_rows_to_csv(rows))
         else:

@@ -8,7 +8,7 @@ times.  Everything here is for instances small enough to enumerate.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .errors import (BoundaryInfeasibleError, BudgetExceededError,
                      CheegerHypothesisError, DegenerateChainError,
                      HorizonExceededError)
 from .graphs import bfs_distances, exterior_boundary, induced_excess
-from .models import NEG_INF, neighbor_conditional
+from .models import NEG_INF
 from .records import BoundRecord
 from .rng import make_rng, sample_index
 from .trees import batched_root_marginals, build_tree_tables, tree_law
@@ -39,25 +39,11 @@ class ExactChain:
     P: np.ndarray = None
     lazy: bool = None
     _index: dict = field(default=None, repr=False)
-    _reads: list = field(default=None, repr=False)
 
     def index(self, state):
         if self._index is None:
             self._index = {s: i for i, s in enumerate(self.states)}
         return self._index[state]
-
-    def neighbor_reads(self, i):
-        """Where the neighbors of position i get their states, in adjacency
-        order: (j, None) for chain position j, (None, x) for a boundary
-        state x.  Neighbors that are neither are skipped."""
-        if self._reads is None:
-            pos = {u: j for j, u in enumerate(self.vertices)}
-            self._reads = [
-                [(pos[w], None) if w in pos else (None, self.boundary[w])
-                 for w in self.graph.adj[v]
-                 if w in pos or w in self.boundary]
-                for v in self.vertices]
-        return self._reads[i]
 
 
 def enumerate_states(model, graph, budget=DEFAULT_STATE_BUDGET,
@@ -91,44 +77,55 @@ def enumerate_states(model, graph, budget=DEFAULT_STATE_BUDGET,
     for i, v in enumerate(vertices):
         earlier.append([pos[w] for w in graph.adj[v] if w in vset
                         and pos[w] < i])
+
+    def score(i, x):
+        """Weight of state x at position i against the earlier positions
+        and the boundary, or None if it breaks a hard constraint."""
+        s = model.h[x]
+        for j in earlier[i]:
+            gxy = model.g[x][assign[j]]
+            if gxy == NEG_INF:
+                return None
+            s += gxy
+        for w in graph.adj[vertices[i]]:
+            if w in boundary:
+                gxb = model.g[x][boundary[w]]
+                if gxb == NEG_INF:
+                    return None
+                s += gxb
+        return s
+
+    # An explicit stack, so long vertex lists cannot hit the recursion
+    # limit: acc[i] is the weight of the positions before i, and nxt[i]
+    # the next state to try at position i.
+    n = len(vertices)
     states = []
     logw = []
-    assign = [0] * len(vertices)
-
-    def rec(i, acc):
-        if i == len(vertices):
+    assign = [0] * n
+    acc = [0.0] * (n + 1)
+    nxt = [0] * n
+    i = 0 if n else -1
+    while i >= 0:
+        if i == n:
             if len(states) >= budget:
                 raise BudgetExceededError(
                     f"state budget {budget} exceeded", reached=len(states))
             states.append(tuple(assign))
-            logw.append(acc)
-            return
-        v = vertices[i]
-        for x in range(model.q):
-            s = model.h[x]
-            ok = True
-            for j in earlier[i]:
-                gxy = model.g[x][assign[j]]
-                if gxy == NEG_INF:
-                    ok = False
-                    break
-                s += gxy
-            if not ok:
-                continue
-            for w in graph.adj[v]:
-                if w in boundary:
-                    gxb = model.g[x][boundary[w]]
-                    if gxb == NEG_INF:
-                        ok = False
-                        break
-                    s += gxb
-            if not ok:
-                continue
+            logw.append(acc[n])
+            i -= 1
+            continue
+        x = nxt[i]
+        if x == model.q:
+            nxt[i] = 0
+            i -= 1
+            continue
+        nxt[i] = x + 1
+        s = score(i, x)
+        if s is not None:
             assign[i] = x
-            rec(i + 1, acc + s)
+            acc[i + 1] = acc[i] + s
+            i += 1
 
-    if vertices:
-        rec(0, 0.0)
     if states:
         arr = np.array(logw)
         w = np.exp(arr - arr.max())
@@ -139,37 +136,48 @@ def enumerate_states(model, graph, budget=DEFAULT_STATE_BUDGET,
                       boundary=boundary, states=states, logw=logw, pi=pi)
 
 
-def _conditional_probs(chain, state, i):
-    """Heat-bath law at position i of a chain state (list of q floats)."""
-    states = [state[j] if j is not None else x
-              for j, x in chain.neighbor_reads(i)]
-    return neighbor_conditional(chain.model, states, chain.vertices[i])
+def _resample_kernel(chain, groups):
+    """Heat-bath kernel that picks one group of chain positions uniformly
+    and redraws it from the Gibbs law given every other position.
+
+    States that agree outside the group form one class; within a class
+    the redraw law is the Gibbs weight restricted to it, normalized from
+    ``logw`` with the class maximum subtracted (ratios of ``pi`` could
+    underflow where the class law does not).  Groups add in order, so
+    each diagonal entry sums in group order.
+    """
+    S = len(chain.states)
+    X = np.array(chain.states, dtype=np.int64).reshape(S, len(chain.vertices))
+    logw = np.array(chain.logw)
+    P = np.zeros((S, S))
+    for group in groups:
+        rest = np.delete(X, group, axis=1)
+        # equal rows end up adjacent; lexsort needs at least one key
+        order = np.lexsort(rest.T) if rest.shape[1] else np.arange(S)
+        rest = rest[order]
+        first = np.ones(S, dtype=bool)
+        first[1:] = (rest[1:] != rest[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        sizes = np.diff(np.append(starts, S))
+        # Classes of one size at a time, as rows of an index matrix.
+        for m in set(sizes.tolist()):
+            cls = order[starts[sizes == m][:, None] + np.arange(m)]
+            w = np.exp(logw[cls] - logw[cls].max(axis=1, keepdims=True))
+            p = w / w.sum(axis=1, keepdims=True) / len(groups)
+            P[cls[:, :, None], cls[:, None, :]] += p[:, None, :]
+    return P
 
 
 def transition_matrix(chain, lazy=True):
     """Fill in the single-site heat-bath kernel; returns the same chain.
 
-    P(sigma -> tau) = (1/|vertices|) * conditional mass for moves at one
-    position; the diagonal absorbs holds.  lazy replaces P by (I+P)/2.
+    Each step redraws one uniformly chosen position from its conditional
+    law; lazy replaces P by (I+P)/2.
     """
-    S = len(chain.states)
-    nv = len(chain.vertices)
-    P = np.zeros((S, S))
-    for i, sigma in enumerate(chain.states):
-        for pos_i in range(nv):
-            probs = _conditional_probs(chain, sigma, pos_i)
-            for x, px in enumerate(probs):
-                if px == 0.0:
-                    continue
-                if x == sigma[pos_i]:
-                    j = i
-                else:
-                    tau = list(sigma)
-                    tau[pos_i] = x
-                    j = chain.index(tuple(tau))
-                P[i, j] += px / nv
+    P = _resample_kernel(chain, [[i] for i in range(len(chain.vertices))])
     if lazy:
-        P = 0.5 * (np.eye(S) + P)
+        P *= 0.5
+        P[np.diag_indices_from(P)] += 0.5
     chain.P = P
     chain.lazy = lazy
     return chain
@@ -665,27 +673,6 @@ def law_tv(law_a, law_b):
                      for k in keys)
 
 
-def _block_kernel(chain, partition):
-    """Exact block-dynamics matrix on the enumerated state space."""
-    S = len(chain.states)
-    K = len(partition.blocks)
-    pos = {v: i for i, v in enumerate(chain.vertices)}
-    B = np.zeros((S, S))
-    for block in partition.blocks:
-        inside = sorted(pos[v] for v in block.vertices)
-        outside = [i for i in range(len(chain.vertices)) if i not in
-                   set(inside)]
-        groups = {}
-        for i, s in enumerate(chain.states):
-            groups.setdefault(tuple(s[j] for j in outside), []).append(i)
-        for idx in groups.values():
-            I = np.array(idx)
-            w = chain.pi[I]
-            cond = w / w.sum()
-            B[np.ix_(I, I)] += cond[None, :] / K
-    return B
-
-
 def _boundary_assignments(model, graph, block_vertices, cap, seed,
                           state_budget):
     """Boundary conditions realizable by states of the complement graph."""
@@ -721,10 +708,10 @@ def block_composition_check(model, graph, partition, instance="",
         enumerate_states(model, graph, budget=state_budget), lazy=True)
     tau = relaxation_time(chain)
 
-    bchain = ExactChain(model=model, graph=graph, vertices=chain.vertices,
-                        boundary={}, states=chain.states, logw=chain.logw,
-                        pi=chain.pi, P=_block_kernel(chain, partition),
-                        lazy=False)
+    pos = {v: i for i, v in enumerate(chain.vertices)}
+    groups = [sorted(pos[v] for v in block.vertices)
+              for block in partition.blocks]
+    bchain = replace(chain, P=_resample_kernel(chain, groups), lazy=False)
     tau_block = relaxation_time(bchain)
 
     taus = []

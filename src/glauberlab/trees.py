@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryInfeasibleError
-from .graphs import induced_components
 from .models import NEG_INF
 from .rng import derive_seed, sample_index
 
@@ -27,27 +26,25 @@ def _exp_tables(model):
 
 
 def _forest_structure(graph, block, roots):
-    """Parents, children and a roots-first order; rejects cycles."""
-    bset = set(block)
-    comps = induced_components(graph, bset)
-    if roots is None:
-        roots = tuple(c[0] for c in comps)
-    else:
-        roots = tuple(roots)
-        if len(roots) != len(comps):
-            raise ValueError(
-                f"need one root per component: got {len(roots)}, "
-                f"forest has {len(comps)}")
-        comp_of = {v: i for i, c in enumerate(comps) for v in c}
-        seen_comps = {comp_of[r] for r in roots if r in bset}
-        if any(r not in bset for r in roots) or len(seen_comps) != len(roots):
-            raise ValueError("roots must cover each component exactly once")
+    """Parents, children and a roots-first order, from one BFS pass.
 
+    With ``roots`` None each component is rooted at its smallest vertex;
+    given roots must be block vertices, one in each component.  Rejects
+    cycles.
+    """
+    bset = set(block)
+    starts = sorted(bset) if roots is None else roots
+    found = []
     parent = {}
     children = {v: [] for v in bset}
     order = []
     visited = set()
-    for r in roots:
+    for r in starts:
+        if r in visited and roots is None:
+            continue
+        if r not in bset or r in visited:
+            raise ValueError("roots must cover each component exactly once")
+        found.append(r)
         visited.add(r)
         head = len(order)
         order.append(r)
@@ -67,7 +64,11 @@ def _forest_structure(graph, block, roots):
                 parent[w] = u
                 children[u].append(w)
                 order.append(w)
-    return roots, parent, children, tuple(order)
+    if len(order) != len(bset):
+        raise ValueError(
+            f"need one root per component: {len(bset) - len(order)} block "
+            f"vertices lie in components without a root")
+    return tuple(found), parent, children, tuple(order)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -144,6 +145,17 @@ class TestSample:
         payload = json.loads(out.read_text())["payload"]
         assert payload["steps"] == 0
 
+    def test_csv_keeps_scalar_fields(self, triangle_files, tmp_path):
+        gp, mp = triangle_files
+        out = tmp_path / "run"
+        code = main(["sample", "--model", str(mp), "--graph", str(gp),
+                     "--steps", "10", "--format", "csv", "--out", str(out)])
+        assert code == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["steps"] for r in rows] == ["10"]
+        assert "final" not in rows[0]
+        assert (tmp_path / "run.trace.csv").exists()
+
     def test_infeasible_graph_rejected(self, tmp_path):
         # the triangle has no proper 2-coloring to start from
         gp = tmp_path / "tri.edges"
@@ -239,6 +251,52 @@ class TestExact:
         payload = json.loads(out.read_text())["payload"]
         assert payload["degenerate"]
 
+    def test_degenerate_chain_as_csv(self, tmp_path):
+        # no records: the scalar fields come out as one row, and the
+        # check's own exit code survives the csv output
+        gp = tmp_path / "tri.edges"
+        gl.write_edge_list(gl.Graph(3, [(0, 1), (0, 2), (1, 2)]), gp)
+        mp = tmp_path / "q3.json"
+        gl.write_model(gl.coloring_model(3), mp)
+        out = tmp_path / "ex.csv"
+        code = main(["exact", "--model", str(mp), "--graph", str(gp),
+                     "--format", "csv", "--out", str(out)])
+        assert code == 1
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 1
+        assert rows[0]["states"] == "6"
+        assert "reducible" in rows[0]["degenerate"]
+
+
+def long_path_files(tmp_path, q):
+    n = 1500
+    gp = tmp_path / "path.edges"
+    gl.write_edge_list(gl.Graph(n, [(i, i + 1) for i in range(n - 1)]), gp)
+    mp = tmp_path / f"q{q}.json"
+    gl.write_model(gl.coloring_model(q), mp)
+    return gp, mp
+
+
+class TestExactLongPath:
+    # 1500 positions: deeper than the interpreter's recursion limit
+
+    def test_frozen_two_colouring_is_degenerate(self, tmp_path):
+        gp, mp = long_path_files(tmp_path, 2)
+        out = tmp_path / "ex.json"
+        code = main(["exact", "--model", str(mp), "--graph", str(gp),
+                     "--out", str(out)])
+        assert code == 1
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["states"] == 2
+        assert payload["degenerate"]
+
+    def test_three_colourings_exceed_the_budget(self, tmp_path):
+        # a small budget keeps the stored 1500-tuples small
+        gp, mp = long_path_files(tmp_path, 3)
+        code = main(["exact", "--model", str(mp), "--graph", str(gp),
+                     "--budget", "1000", "--out", str(tmp_path / "x.json")])
+        assert code == 2
+
 
 class TestVerify:
     def test_skeleton_joint_counts(self, tmp_path):
@@ -282,6 +340,17 @@ class TestCouple:
         code = main(["couple", "--model", str(mp), "--graph", str(gp),
                      "--horizon", "1000", "--out", str(tmp_path / "c")])
         assert code == 2
+
+    def test_csv_is_one_row(self, triangle_files, tmp_path):
+        gp, mp = triangle_files
+        out = tmp_path / "c.csv"
+        code = main(["couple", "--model", str(mp), "--graph", str(gp),
+                     "--format", "csv", "--out", str(out)])
+        assert code == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 1
+        assert rows[0]["coalesced"] == "True"
+        assert int(rows[0]["steps"]) > 0
 
     @pytest.mark.parametrize("horizon", ["0", "-3"])
     def test_bad_horizon_is_invalid(self, triangle_files, tmp_path,

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import glauberlab as gl
-from glauberlab.exact import _cheeger_from_epsilon
-from glauberlab.zoo import partitioned_cases, skeleton_block_cases
+from glauberlab.exact import _cheeger_from_epsilon, _resample_kernel
+from glauberlab.models import neighbor_conditional
+from glauberlab.zoo import (connected_graphs, model_grid, partitioned_cases,
+                            skeleton_block_cases)
 
 
 def path3():
@@ -90,6 +92,100 @@ class TestTransitionMatrix:
         m = gl.soft_model([0.1, -0.2], [[0.3, 0.0], [0.0, 0.3]])
         ch = built(m, triangle())
         assert gl.detailed_balance_gap(ch) < 1e-12
+
+
+def per_site_kernel(chain, lazy):
+    """Oracle: the single-site kernel built state by state and position
+    by position from each vertex's heat-bath conditional."""
+    S = len(chain.states)
+    nv = len(chain.vertices)
+    pos = {v: i for i, v in enumerate(chain.vertices)}
+    P = np.zeros((S, S))
+    for i, sigma in enumerate(chain.states):
+        for p, v in enumerate(chain.vertices):
+            around = [sigma[pos[w]] if w in pos else chain.boundary[w]
+                      for w in chain.graph.adj[v]
+                      if w in pos or w in chain.boundary]
+            probs = neighbor_conditional(chain.model, around, v)
+            for x, px in enumerate(probs):
+                if px == 0.0:
+                    continue
+                tau = sigma[:p] + (x,) + sigma[p + 1:]
+                P[i, chain.index(tau)] += px / nv
+    if lazy:
+        P = 0.5 * (np.eye(S) + P)
+    return P
+
+
+def assert_matches_oracle(chain, lazy, bitwise=False):
+    want = per_site_kernel(chain, lazy)
+    got = gl.transition_matrix(chain, lazy=lazy).P
+    assert ((got > 0) == (want > 0)).all()
+    assert np.abs(got - want).max() <= 1e-15
+    if bitwise:
+        assert np.array_equal(got, want)
+
+
+class TestKernelAgainstPerSiteOracle:
+    @pytest.mark.parametrize("mname, model", model_grid(),
+                             ids=[m for m, _ in model_grid()])
+    def test_zoo_chains(self, mname, model):
+        # uniform Gibbs weights leave nothing to round differently
+        bitwise = mname in ("coloring-q3", "coloring-q4", "hardcore-b0")
+        for gname, graph in connected_graphs():
+            chain = gl.enumerate_states(model, graph)
+            if not chain.states:
+                continue
+            for lazy in (True, False):
+                assert_matches_oracle(chain, lazy, bitwise)
+
+    @pytest.mark.parametrize("model", [
+        gl.coloring_model(4), gl.hardcore_model(0.5),
+        gl.soft_model([0.1, -0.2, 0.3], [[0.4, 0.0, -0.1],
+                                         [0.0, 0.2, 0.5],
+                                         [-0.1, 0.5, -0.3]])])
+    def test_boundary_pinned_sub_chain(self, model):
+        # a 6-cycle with a chord: vertices 1..4, with 0 and 5 pinned
+        g = gl.Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5),
+                         (1, 4)])
+        chain = gl.enumerate_states(model, g, vertices=(1, 2, 3, 4),
+                                    boundary={0: 1, 5: 0})
+        assert chain.states
+        for lazy in (True, False):
+            assert_matches_oracle(chain, lazy)
+
+    def test_induced_sub_chain(self):
+        model = gl.soft_model([0.1, -0.2], [[0.3, -0.4], [-0.4, 0.3]])
+        g = gl.Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])
+        chain = gl.enumerate_states(model, g, vertices=(0, 1, 2, 3),
+                                    boundary=None)
+        for lazy in (True, False):
+            assert_matches_oracle(chain, lazy)
+
+
+class TestResampleKernel:
+    def test_singleton_partition_is_the_site_chain(self):
+        # tau_block of all-singleton blocks is the non-lazy site chain's
+        # relaxation time, bit for bit
+        for name, model, graph, _ in partitioned_cases():
+            part = gl.BlockPartition(
+                blocks=tuple(gl.Block("singleton", (v,))
+                             for v in range(graph.n)),
+                L=1.0, log_base=math.e, t=1)
+            site = gl.transition_matrix(gl.enumerate_states(model, graph),
+                                        lazy=False)
+            rec, details = gl.block_composition_check(model, graph, part,
+                                                      instance=name)
+            assert details["tau_block"] == gl.relaxation_time(site), name
+
+    @pytest.mark.parametrize("model", [
+        gl.coloring_model(4), gl.hardcore_model(0.5),
+        gl.soft_model([0.1, -0.2], [[0.3, 0.0], [0.0, 0.3]])])
+    def test_one_block_draws_from_pi(self, model):
+        for graph in (triangle(), path3(), gl.Graph(1, [])):
+            chain = gl.enumerate_states(model, graph)
+            P = _resample_kernel(chain, [list(range(graph.n))])
+            assert np.array_equal(P, np.tile(chain.pi, (len(P), 1)))
 
 
 class TestSpectral:

@@ -75,6 +75,48 @@ class TestBuildTables:
                                  {1: 0, 2: 1})
 
 
+def two_trees():
+    # components {0, 1, 2} (a path through 1) and {3, 4}
+    return gl.Graph(5, [(1, 0), (1, 2), (4, 3)])
+
+
+class TestForestStructure:
+    def test_default_roots_are_component_minima(self):
+        tb = gl.build_tree_tables(gl.coloring_model(3), two_trees(),
+                                  range(5), {})
+        assert tb.roots == (0, 3)
+        assert tb.order == (0, 1, 2, 3, 4)
+        assert tb.parent == {1: 0, 2: 1, 4: 3}
+
+    def test_given_roots_reorder(self):
+        tb = gl.build_tree_tables(gl.coloring_model(3), two_trees(),
+                                  range(5), {}, roots=(4, 1))
+        assert tb.roots == (4, 1)
+        assert tb.order == (4, 3, 1, 0, 2)
+
+    def test_too_few_roots(self):
+        with pytest.raises(ValueError, match="one root per component"):
+            gl.build_tree_tables(gl.coloring_model(3), two_trees(),
+                                 range(5), {}, roots=(0,))
+
+    def test_two_roots_in_one_component(self):
+        with pytest.raises(ValueError, match="exactly once"):
+            gl.build_tree_tables(gl.coloring_model(3), two_trees(),
+                                 range(5), {}, roots=(0, 2))
+
+    def test_root_outside_block(self):
+        with pytest.raises(ValueError, match="exactly once"):
+            gl.build_tree_tables(gl.coloring_model(3), two_trees(),
+                                 (0, 1, 2), {}, roots=(3,))
+
+    @pytest.mark.parametrize("roots", [None, (2,)])
+    def test_cycle_in_block(self, roots):
+        g = gl.Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        with pytest.raises(ValueError, match="not a forest"):
+            gl.build_tree_tables(gl.coloring_model(3), g, range(4), {},
+                                 roots=roots)
+
+
 class TestTreeLaw:
     def test_free_path_uniform(self):
         tb = gl.build_tree_tables(gl.coloring_model(3), path3(),
