@@ -14,9 +14,9 @@ from .dynamics import (ChainState, coalescence_time, contraction_probe,
                        visit_counts, write_checkpoint)
 from .errors import (BoundaryInfeasibleError, BudgetExceededError,
                      CheegerHypothesisError, DegenerateChainError,
-                     HorizonExceededError, LabelingInconsistencyError,
-                     NoFeasibleStateError, NonUniqueAttachmentError,
-                     PaletteExhaustedError, SkeletonBoundError)
+                     HorizonExceededError, NoFeasibleStateError,
+                     NonUniqueAttachmentError, PaletteExhaustedError,
+                     SkeletonBoundError)
 from .exact import (CanonicalBound, CheegerBound, DecayCheck, ExactChain,
                     SkeletonJoint, block_composition_check,
                     canonical_path_bound, cheeger_bound,

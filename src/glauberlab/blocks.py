@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BudgetExceededError, LabelingInconsistencyError,
-                     NonUniqueAttachmentError, SkeletonBoundError)
-from .graphs import (DEFAULT_NODE_BUDGET, alpha_weights_all, bfs_distances,
-                     boundaries, induced_components, induced_excess,
-                     log_radius)
+from .errors import (BudgetExceededError, NonUniqueAttachmentError,
+                     SkeletonBoundError)
+from .graphs import (DEFAULT_NODE_BUDGET, Graph, alpha_weights_all,
+                     bfs_distances, boundaries, induced_components,
+                     induced_excess, log_radius)
 from .records import CheckRecord, Report
 
 
@@ -83,32 +83,25 @@ def bad_classes(g, labeling):
     """Partition of the bad vertices: u ~ u' iff a path joins them with no
     two consecutive good vertices.
 
-    BFS over the step relation "bad to adjacent bad" and "bad to good to
-    that good vertex's bad neighbors".  Classes come out sorted by their
+    They are the bad vertices of each unit that has any, sorted by their
     minimum vertex.
     """
-    remaining = {v for v in range(g.n) if not labeling.is_good(v)}
-    classes = []
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in g.adj[u]:
-                if not labeling.is_good(w):
-                    if w in remaining and w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-                else:
-                    for x in g.adj[w]:
-                        if not labeling.is_good(x) and x not in comp:
-                            comp.add(x)
-                            queue.append(x)
-        remaining -= comp
-        classes.append(tuple(sorted(comp)))
-    classes.sort(key=lambda c: c[0])
-    return classes
+    classes = [tuple(v for v in unit if not labeling.is_good(v))
+               for unit in _units(g, labeling)]
+    return sorted((c for c in classes if c), key=lambda c: c[0])
+
+
+def _units(g, labeling):
+    """Extended equivalence classes covering every vertex: the components
+    of g without its good-good edges.
+
+    There a good vertex touches only bad vertices, so a component holding
+    a bad vertex is one bad class plus its good neighbours, and every other
+    good vertex stands alone.
+    """
+    good = labeling.good.tolist()
+    h = Graph(g.n, [(u, v) for u, v in g.edges if not (good[u] and good[v])])
+    return induced_components(h, range(g.n))
 
 
 class _SearchBudget:
@@ -209,6 +202,8 @@ def _first_rule(g, W, cap, budget, high):
 
 
 def _log_n(n, log_base):
+    if log_base <= 1.0:
+        raise ValueError("log base must exceed 1")
     return math.log(n) / math.log(log_base) if n > 1 else 0.0
 
 
@@ -300,48 +295,6 @@ class BlockPartition:
         return owner
 
 
-def _units(g, labeling, classes):
-    """Extended equivalence classes covering every vertex.
-
-    Each bad class absorbs the good vertices adjacent to it; a good vertex
-    with no bad neighbor stands alone.  A good vertex adjacent to two
-    different classes means the classes were not closed under the two-hop
-    step, which is a labeling inconsistency.
-    """
-    unit_of = {}
-    for k, cls in enumerate(classes):
-        for v in cls:
-            if labeling.is_good(v):
-                raise LabelingInconsistencyError(
-                    f"good vertex {v} listed in a bad class")
-            if v in unit_of:
-                raise LabelingInconsistencyError(
-                    f"vertex {v} appears in two bad classes")
-            unit_of[v] = k
-    units = [set(cls) for cls in classes]
-    for v in range(g.n):
-        if labeling.is_good(v):
-            hits = {unit_of[w] for w in g.adj[v]
-                    if w in unit_of and not labeling.is_good(w)}
-            if len(hits) > 1:
-                raise LabelingInconsistencyError(
-                    f"good vertex {v} is adjacent to bad classes "
-                    f"{sorted(hits)}")
-            if hits:
-                k = hits.pop()
-                units[k].add(v)
-                unit_of[v] = k
-        elif v not in unit_of:
-            raise LabelingInconsistencyError(
-                f"bad vertex {v} is missing from the classes")
-    singles = []
-    for v in range(g.n):
-        if v not in unit_of:
-            unit_of[v] = len(classes) + len(singles)
-            singles.append({v})
-    return [tuple(sorted(u)) for u in units + singles]
-
-
 def _extract_pieces(g, block_vertices, wset, block_tag):
     pieces = []
     outside = [v for v in block_vertices if v not in wset]
@@ -361,8 +314,7 @@ def _extract_pieces(g, block_vertices, wset, block_tag):
     return tuple(pieces)
 
 
-def build_blocks(g, labeling, skeleton, L, t=None, log_base=math.e,
-                 classes=None):
+def build_blocks(g, labeling, skeleton, L, t=None, log_base=math.e):
     """Assemble the final partition around the skeleton components.
 
     A unit (extended class) joins skeleton component W_j when one of its
@@ -377,9 +329,7 @@ def build_blocks(g, labeling, skeleton, L, t=None, log_base=math.e,
             if v in wall:
                 raise ValueError(f"skeleton components overlap at {v}")
             wall.add(v)
-    if classes is None:
-        classes = bad_classes(g, labeling)
-    units = _units(g, labeling, classes)
+    units = _units(g, labeling)
 
     radius = log_radius(L, g.n, base=log_base)
     dists = [bfs_distances(g, comp, cutoff=radius) for comp in comps]
@@ -487,10 +437,16 @@ def validate_partition(g, partition, labeling=None):
     stand_off = L * logn
     size_cap = 20 * partition.t * L * logn
     problems = []
+    # closest skeleton pair as (distance, a, b) over positions among the
+    # skeleton blocks: each block's distance map is measured against the
+    # skeletons before it, and ties go to the lexicographically first pair
+    skeletons = []
+    closest = (math.inf,)
     for i, b in enumerate(blocks):
         if b.kind != "skeleton":
             continue
         wset = set(b.skeleton)
+        vset = set(b.vertices)
         claimed = set(b.skeleton)
         for piece in b.pieces:
             cset = set(piece.vertices)
@@ -505,7 +461,7 @@ def validate_partition(g, partition, labeling=None):
                                  "why": f"depth {depth} > {depth_bound:.3f}"})
             for c in piece.vertices:
                 for w in g.adj[c]:
-                    if w in full or w not in set(b.vertices):
+                    if w in full or w not in vset:
                         continue
                     problems.append({"block": i, "piece": piece.root,
                                      "why": f"side edge ({c},{w})"})
@@ -513,10 +469,15 @@ def validate_partition(g, partition, labeling=None):
             if len(attach) != 1:
                 problems.append({"block": i, "piece": piece.root,
                                  "why": f"{len(attach)} attachment edges"})
-        if claimed != set(b.vertices):
+        if claimed != vset:
             problems.append({"block": i,
                              "why": "skeleton plus pieces misses vertices"})
         wdist = bfs_distances(g, b.skeleton)
+        b_pos = len(skeletons)
+        for a, skel in enumerate(skeletons):
+            d = min((wdist[v] for v in skel if v in wdist), default=math.inf)
+            closest = min(closest, (d, a, b_pos))
+        skeletons.append(b.skeleton)
         inner = boundaries(g, b.vertices).interior
         near = min((wdist[v] for v in inner if v in wdist), default=None)
         if near is not None and near < stand_off:
@@ -538,21 +499,11 @@ def validate_partition(g, partition, labeling=None):
         witness={"violations": problems[:10]}))
 
     sep_bound = 5 * L * logn
-    skel = [b for b in blocks if b.kind == "skeleton"]
-    closest = math.inf
-    pair = None
-    for a in range(len(skel)):
-        dist = bfs_distances(g, skel[a].skeleton)
-        for b in range(a + 1, len(skel)):
-            d = min((dist[v] for v in skel[b].skeleton if v in dist),
-                    default=math.inf)
-            if d < closest:
-                closest = d
-                pair = (a, b)
+    d, pair = closest[0], list(closest[1:]) or None
     report.add(CheckRecord(
-        check="skeleton-separation", passed=closest >= sep_bound,
-        witness={"pair": list(pair) if pair else None},
-        value=None if closest is math.inf else closest, bound=sep_bound))
+        check="skeleton-separation", passed=d >= sep_bound,
+        witness={"pair": pair},
+        value=None if d is math.inf else d, bound=sep_bound))
     return report
 
 

@@ -42,9 +42,5 @@ class NonUniqueAttachmentError(ValueError):
     """A vertex of a composite block has more than one path to its core."""
 
 
-class LabelingInconsistencyError(ValueError):
-    """A good vertex is adjacent to bad vertices from different classes."""
-
-
 class CheegerHypothesisError(ValueError):
     """The chain does not satisfy the all-pairs transition hypothesis."""

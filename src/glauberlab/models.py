@@ -364,7 +364,9 @@ def model_from_json_dict(data):
         return hardcore_model(_json_number(data.get("beta")))
     if kind == "coloring":
         return coloring_model(_json_number(data["q"], int))
-    return soft_model(h, g)
+    if kind == "soft":
+        return soft_model(h, g)
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def write_model(model, path):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import glauberlab as gl
@@ -38,6 +39,20 @@ def oracle_bad_classes(g, labeling):
     for v in bad:
         classes.setdefault(find(v), set()).add(v)
     return sorted(frozenset(c) for c in classes.values())
+
+
+def oracle_units(g, labeling):
+    """Independent oracle: each bad class plus its good neighbours, and
+    every other good vertex alone."""
+    units = []
+    for cls in oracle_bad_classes(g, labeling):
+        unit = set(cls)
+        for u in cls:
+            unit.update(w for w in g.adj[u] if labeling.is_good(w))
+        units.append(frozenset(unit))
+    covered = set().union(*units)
+    units += [frozenset({v}) for v in range(g.n) if v not in covered]
+    return sorted(units, key=min)
 
 
 class TestChooseParams:
@@ -167,6 +182,15 @@ class TestBuildSkeleton:
         with pytest.raises(ValueError):
             gl.has_applicable_rule(c6(), [1, 3], L)
 
+    # one vertex checks the base before the n <= 1 shortcut
+    @pytest.mark.parametrize("g", [c6(), gl.Graph(1, [])],
+                             ids=["c6", "one-vertex"])
+    @pytest.mark.parametrize("base", [1.0, 0.5])
+    def test_log_base_must_exceed_one(self, g, base):
+        with pytest.raises(ValueError, match="log base must exceed 1"):
+            gl.build_skeleton(g, self.good_labeling(g), L=1.0, t=1,
+                              log_base=base)
+
     # Total rule-search spend to the fixed point, recorded on the
     # hand-written BFS loops this search replaced: a node_budget equal to
     # it passes and one below it raises.
@@ -246,18 +270,20 @@ class TestBuildBlocks:
         assert [(b.kind, b.vertices) for b in part.blocks] == [
             ("tree", (0, 1, 2)), ("singleton", (3,)), ("tree", (4, 5, 6))]
 
-    def test_split_classes_rejected(self):
-        g = gl.Graph(3, [(0, 1), (1, 2)])
-        lab = gl.classify(g, c=10, alpha=0.5, eps=1.0,
-                          phi=[10.0, 0.0, 10.0])
-        with pytest.raises(gl.LabelingInconsistencyError):
-            gl.build_blocks(g, lab, [], L=1.0, classes=[(0,), (2,)])
-
-    def test_good_vertex_in_class_rejected(self):
-        g = gl.Graph(3, [(0, 1), (1, 2)])
-        lab = gl.classify(g, c=10, alpha=0.5, eps=1e9)
-        with pytest.raises(gl.LabelingInconsistencyError):
-            gl.build_blocks(g, lab, [], L=1.0, classes=[(0,)])
+    @pytest.mark.parametrize("bad_share", [0.0, 0.1, 0.3, 0.6, 1.0])
+    @pytest.mark.parametrize("d", [0.0, 1.0, 2.5])
+    def test_units_match_oracle(self, bad_share, d):
+        # with no skeleton every unit is a block of its own
+        for seed in range(8):
+            g = gl.generate_er(60, d, seed=seed)
+            rng = np.random.default_rng(seed)
+            phi = np.where(rng.random(g.n) < bad_share, 10.0, 0.0)
+            lab = gl.classify(g, c=100, alpha=0.5, eps=1.0, phi=phi)
+            part = gl.build_blocks(g, lab, [], L=1.0)
+            got = [frozenset(b.vertices) for b in part.blocks]
+            assert got == oracle_units(g, lab)
+            assert all(b.kind == ("singleton" if len(b.vertices) == 1
+                                  else "tree") for b in part.blocks)
 
 
 class TestValidatePartition:

@@ -121,6 +121,55 @@ class TestDecompose:
         assert all(r["pass"] for r in payload["records"])
 
 
+class TestDecomposeWithBadVertices:
+    # gen --n N --d 2 --seed 1 at a = 0.3, alpha = 0.25, t = 1,
+    # delta = 0.15, L = 0.12.  N = 5000 has 9 bad vertices in 6 classes;
+    # N = 2000 has 7 in 2 classes, two skeleton blocks and one tree block,
+    # and a 7-deep piece fails skeleton-structure (exit 1).
+    @pytest.mark.parametrize("n, code, digest, bad, classes", [
+        (5000, 0, "8862d7f9a32e917b", 9, 6),
+        (2000, 1, "83022342f7cd9048", 7, 2)])
+    def test_pinned_digest(self, tmp_path, n, code, digest, bad, classes):
+        gp = tmp_path / "g.edges"
+        assert main(["gen", "--n", str(n), "--d", "2", "--seed", "1",
+                     "--out", str(gp)]) == 0
+        out = tmp_path / "dec.json"
+        part = tmp_path / "part.json"
+        assert main(["decompose", str(gp), "--a", "0.3", "--alpha", "0.25",
+                     "--t", "1", "--delta", "0.15", "--length-scale",
+                     "0.12", "--out", str(out), "--partition-out",
+                     str(part)]) == code
+        assert payload_digest(out) == digest
+        hp = gl.HypothesisParams(a=0.3, alpha=0.25, t=1, delta=0.15)
+        g = gl.read_edge_list(gp)
+        expect = gl.decompose(g, hp, L=0.12)
+        assert gl.read_partition(part).blocks == expect.blocks
+        assert len(expect.labeling.bad_vertices) == bad
+        assert len(gl.bad_classes(g, expect.labeling)) == classes
+
+
+class TestLogBase:
+    params = ["--a", "0.2", "--alpha", "0.25", "--t", "1", "--delta", "1.6"]
+
+    @pytest.mark.parametrize("base", ["1", "0.5"])
+    def test_flag_at_most_one_is_invalid(self, triangle_files, tmp_path,
+                                         base):
+        gp, _ = triangle_files
+        out = tmp_path / "dec.json"
+        assert main(["decompose", str(gp)] + self.params +
+                    ["--log-base", base, "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_config_at_most_one_is_invalid(self, triangle_files, tmp_path):
+        gp, _ = triangle_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"log_base": 1}))
+        out = tmp_path / "dec.json"
+        assert main(["decompose", str(gp)] + self.params +
+                    ["--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+
+
 class TestSample:
     def test_pinned_digest_and_artifacts(self, er_graph, tmp_path):
         mp = tmp_path / "hc.json"
@@ -182,6 +231,17 @@ class TestSample:
         final = json.loads(out.read_text())["payload"]["final"]
         assert gl.is_feasible(gl.coloring_model(q), gl.read_edge_list(gp),
                               final)
+
+    def test_unknown_model_kind_is_invalid(self, triangle_files, tmp_path):
+        gp, _ = triangle_files
+        mp = tmp_path / "m.json"
+        mp.write_text(json.dumps({"kind": "colouring", "q": 3,
+                                  "h": [0, 0, 0],
+                                  "g": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}))
+        out = tmp_path / "r"
+        assert main(["sample", "--model", str(mp), "--graph", str(gp),
+                     "--steps", "10", "--out", str(out)]) == 3
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", [["--stride", "0"], ["--steps", "-5"]])
     def test_bad_chain_length_is_invalid(self, triangle_files, tmp_path,

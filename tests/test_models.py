@@ -261,6 +261,8 @@ class TestModelJsonValidation:
         {"kind": "soft", "q": 2, "h": [0, None], "g": [[0, 0], [0, 0]]},
         {"kind": "soft", "q": 2, "h": 5, "g": [[0, 0], [0, 0]]},
         {"kind": "soft", "q": 2, "h": [0, 0], "g": [[0, 0], 0]},
+        {"kind": "colouring", "q": 3, "h": [0, 0, 0],
+         "g": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]},
     ])
     def test_malformed_raises_value_error(self, data):
         with pytest.raises(ValueError):
