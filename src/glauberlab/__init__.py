@@ -23,25 +23,22 @@ from .exact import (CanonicalBound, CheegerBound, DecayCheck, ExactChain,
                     coloring_q_threshold, compose_block_law,
                     detailed_balance_gap, enumerate_states,
                     format_chain_dump, hardcore_activity_threshold,
-                    is_irreducible, law_tv, mixing_time, path_density,
-                    psi_weight, relaxation_time, sandwich_check,
-                    skeleton_joint, soft_norm_threshold, spectrum,
-                    transition_matrix, tree_decay_check)
+                    is_irreducible, law_tv, mixing_time, psi_weight,
+                    relaxation_time, sandwich_check, skeleton_joint,
+                    soft_norm_threshold, spectrum, transition_matrix,
+                    tree_decay_check)
 from .graphs import (AlphaWeight, Boundaries, Graph, HypothesisParams,
                      HypothesisReport, alpha_weight, alpha_weights_all,
                      ball, bfs_distances, boundaries, check_hypothesis,
-                     expansion_probe, exterior_boundary, format_edge_list,
-                     generate_er, log_radius, max_path_alpha_weight,
-                     parse_edge_list,
+                     exterior_boundary, format_edge_list, generate_er,
+                     log_radius, max_path_alpha_weight, parse_edge_list,
                      read_edge_list, tree_excess, tree_excess_all,
                      write_edge_list)
-from .models import (HeatBath, SpinModel, activity_free, coloring_model,
-                     format_configuration, greedy_coloring, hardcore_model,
-                     initial_configuration, is_feasible, local_conditional,
-                     log_weight, model_from_json_dict, model_norm,
-                     model_to_json_dict, parse_configuration,
-                     read_configuration, read_model, soft_model,
-                     write_configuration, write_model)
+from .models import (HeatBath, SpinModel, coloring_model, greedy_coloring,
+                     hardcore_model, initial_configuration, is_feasible,
+                     local_conditional, log_weight, model_from_json_dict,
+                     model_norm, model_to_json_dict, read_model,
+                     soft_model, write_model)
 from .records import BoundRecord, CheckRecord, Report
 from .rng import derive_seed, make_rng, sample_index
 from .trees import (build_tree_tables, tree_law, tree_root_law,

@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import (BudgetExceededError, NonUniqueAttachmentError,
                      SkeletonBoundError)
-from .graphs import (DEFAULT_NODE_BUDGET, Graph, alpha_weights_all,
-                     bfs_distances, boundaries, induced_components,
-                     induced_excess, log_radius)
+from .graphs import (DEFAULT_NODE_BUDGET, Graph, _check_log_base,
+                     alpha_weights_all, bfs_distances, boundaries,
+                     induced_components, induced_excess, log_radius)
 from .records import CheckRecord, Report
 
 
@@ -109,12 +109,11 @@ class _SearchBudget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, amount=1):
-        self.used += amount
+    def spend(self):
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExceededError(
-                f"skeleton rule search exceeded {self.limit} nodes",
-                reached=self.used)
+                f"skeleton rule search exceeded {self.limit} nodes")
 
 
 def _find_rule_iii(g, W, cap, budget, high):
@@ -202,8 +201,7 @@ def _first_rule(g, W, cap, budget, high):
 
 
 def _log_n(n, log_base):
-    if log_base <= 1.0:
-        raise ValueError("log base must exceed 1")
+    _check_log_base(log_base)
     return math.log(n) / math.log(log_base) if n > 1 else 0.0
 
 
@@ -257,11 +255,11 @@ def build_skeleton(g, labeling, L, t, log_base=math.e, scan_order="low",
     return induced_components(g, W)
 
 
-def has_applicable_rule(g, W, L, log_base=math.e,
-                        node_budget=DEFAULT_NODE_BUDGET):
-    """Name of the first rule that can still fire, or None at a fixed point."""
-    found = _first_rule(g, set(W), _rule_cap(g, L, log_base),
-                        _SearchBudget(node_budget), False)
+def has_applicable_rule(g, W, L):
+    """Name of the first rule that can still fire, or None at a fixed point
+    (natural logs, default node budget)."""
+    found = _first_rule(g, set(W), _rule_cap(g, L, math.e),
+                        _SearchBudget(DEFAULT_NODE_BUDGET), False)
     return found[0] if found else None
 
 
@@ -373,11 +371,10 @@ def _block_diameter(g, vertices):
     return diam
 
 
-def validate_partition(g, partition, labeling=None):
+def validate_partition(g, partition):
     """Re-check all six structural guarantees; failures become records
     with witnesses, never exceptions."""
-    if labeling is None:
-        labeling = partition.labeling
+    labeling = partition.labeling
     L = partition.L
     logn = _log_n(g.n, partition.log_base)
     report = Report()

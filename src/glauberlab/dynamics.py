@@ -240,12 +240,13 @@ class ProbeResult:
     pairs: list
 
 
-def contraction_probe(model, graph, pairs=20, seed=0, burn_factor=10):
+def contraction_probe(model, graph, pairs=20, seed=0):
     """Exact one-step drift of the pair distance at sampled unit pairs.
 
-    Each probe burns in a configuration, flips one vertex to another
-    state of positive conditional mass, and evaluates the exact expected
-    change of the Hamming distance under one synchronized non-lazy step:
+    Each probe burns in a configuration for 10n steps, flips one vertex to
+    another state of positive conditional mass, and evaluates the exact
+    expected change of the Hamming distance under one synchronized
+    non-lazy step:
     (-1 + sum over neighbors of TV between their conditionals) / n.
     Contraction holds at a pair iff its delta is negative.
     """
@@ -257,7 +258,7 @@ def contraction_probe(model, graph, pairs=20, seed=0, burn_factor=10):
     for k in range(pairs):
         step = _single_site(kernel, make_rng(seed, "probe", k), False)
         config = list(start)
-        for _ in range(burn_factor * n):
+        for _ in range(10 * n):
             step(config)
         # one more update on a copy: the first that changes its vertex
         # leaves the twin one flip away from config

@@ -4,17 +4,9 @@
 class BudgetExceededError(RuntimeError):
     """An exact computation hit its configured node/state/boundary budget."""
 
-    def __init__(self, message, reached=None):
-        super().__init__(message)
-        self.reached = reached
-
 
 class HorizonExceededError(RuntimeError):
     """An iterative computation passed its step horizon without converging."""
-
-    def __init__(self, message, horizon=None):
-        super().__init__(message)
-        self.horizon = horizon
 
 
 class NoFeasibleStateError(ValueError):

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (BoundaryInfeasibleError, BudgetExceededError,
                      CheegerHypothesisError, DegenerateChainError,
                      HorizonExceededError)
-from .graphs import bfs_distances, exterior_boundary, induced_excess
+from .graphs import bfs_distances, exterior_boundary
 from .models import NEG_INF
 from .records import BoundRecord
 from .rng import make_rng, sample_index
@@ -108,8 +108,7 @@ def enumerate_states(model, graph, budget=DEFAULT_STATE_BUDGET,
     while i >= 0:
         if i == n:
             if len(states) >= budget:
-                raise BudgetExceededError(
-                    f"state budget {budget} exceeded", reached=len(states))
+                raise BudgetExceededError(f"state budget {budget} exceeded")
             states.append(tuple(assign))
             logw.append(acc[n])
             i -= 1
@@ -247,8 +246,8 @@ def _worst_tv(mat, pi):
     return float(0.5 * np.abs(mat - pi[None, :]).sum(axis=1).max())
 
 
-def mixing_time(chain, target=TV_TARGET, horizon=DEFAULT_MIXING_HORIZON):
-    """Smallest t with worst-start TV(P^t, pi) <= target.
+def mixing_time(chain, horizon=DEFAULT_MIXING_HORIZON):
+    """Smallest t with worst-start TV(P^t, pi) <= TV_TARGET = 1/(2e).
 
     Worst-start TV is non-increasing in t, so doubling up then binary
     search is exact; power-of-two matrices are cached and reused.
@@ -256,15 +255,14 @@ def mixing_time(chain, target=TV_TARGET, horizon=DEFAULT_MIXING_HORIZON):
     if chain.P is None:
         raise ValueError("transition matrix not built")
     S = len(chain.states)
-    if _worst_tv(np.eye(S), chain.pi) <= target:
+    if _worst_tv(np.eye(S), chain.pi) <= TV_TARGET:
         return 0
     pows = [chain.P]
     t = 1
-    while _worst_tv(pows[-1], chain.pi) > target:
+    while _worst_tv(pows[-1], chain.pi) > TV_TARGET:
         # pows[-1] is P^t; mixing time exceeds t, so give up once t does.
         if t > horizon:
-            raise HorizonExceededError(
-                f"no mixing within horizon {horizon}", horizon=horizon)
+            raise HorizonExceededError(f"no mixing within horizon {horizon}")
         pows.append(pows[-1] @ pows[-1])
         t *= 2
     hi = t
@@ -282,18 +280,17 @@ def mixing_time(chain, target=TV_TARGET, horizon=DEFAULT_MIXING_HORIZON):
 
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _worst_tv(power(mid), chain.pi) <= target:
+        if _worst_tv(power(mid), chain.pi) <= TV_TARGET:
             hi = mid
         else:
             lo = mid
     if hi > horizon:
-        raise HorizonExceededError(
-            f"no mixing within horizon {horizon}", horizon=horizon)
+        raise HorizonExceededError(f"no mixing within horizon {horizon}")
     return hi
 
 
-def sandwich_check(chain, instance="", tol=1e-9,
-                   horizon=DEFAULT_MIXING_HORIZON, tau=None, tmix=None):
+def sandwich_check(chain, instance="", horizon=DEFAULT_MIXING_HORIZON,
+                   tau=None, tmix=None):
     """tau <= tau_mix and tau_mix <= tau*(1 + 0.5*ln(1/min pi)).
 
     ``tau`` and ``tmix`` are computed here unless the caller already has
@@ -304,6 +301,7 @@ def sandwich_check(chain, instance="", tol=1e-9,
     if tmix is None:
         tmix = mixing_time(chain, horizon=horizon)
     upper = tau * (1.0 + 0.5 * math.log(1.0 / chain.pi.min()))
+    tol = 1e-9
     return [
         BoundRecord(instance=instance, bound_name="sandwich-lower",
                     bound_value=float(tmix), exact_value=tau,
@@ -551,7 +549,7 @@ def _root_field(model, graph, w, pieces, boundary, wset):
     return tables.up[w]
 
 
-def skeleton_joint(model, graph, block, boundary, budget=10 ** 6):
+def skeleton_joint(model, graph, block, boundary):
     """Exact joint law Q of the skeleton states.
 
     Q(xi) is proportional to the activity-free pair weight over skeleton
@@ -563,10 +561,10 @@ def skeleton_joint(model, graph, block, boundary, budget=10 ** 6):
     if not W:
         raise ValueError("block has no skeleton")
     q = model.q
+    budget = 10 ** 6
     if q ** len(W) > budget:
         raise BudgetExceededError(
-            f"{q}^{len(W)} skeleton states exceed budget {budget}",
-            reached=budget)
+            f"{q}^{len(W)} skeleton states exceed budget {budget}")
     wset = set(W)
     by_root = {w: [] for w in W}
     for piece in block.pieces:
@@ -606,14 +604,14 @@ def skeleton_joint(model, graph, block, boundary, budget=10 ** 6):
     return SkeletonJoint(w_vertices=W, states=states, probs=probs)
 
 
-def compose_block_law(model, graph, block, boundary, budget=10 ** 6):
+def compose_block_law(model, graph, block, boundary):
     """Joint law of the whole block from Q and per-piece tree laws.
 
     Returns {config tuple over sorted block vertices: probability}; this
     is the law the two-stage sampler (skeleton joint, then trees) draws
     from, computed exactly for comparison against full enumeration.
     """
-    joint = skeleton_joint(model, graph, block, boundary, budget=budget)
+    joint = skeleton_joint(model, graph, block, boundary)
     W = joint.w_vertices
     wpos = {w: i for i, w in enumerate(W)}
     allv = tuple(sorted(block.vertices))
@@ -673,9 +671,9 @@ def law_tv(law_a, law_b):
                      for k in keys)
 
 
-def _boundary_assignments(model, graph, block_vertices, cap, seed,
-                          state_budget):
-    """Boundary conditions realizable by states of the complement graph."""
+def _boundary_assignments(model, graph, block_vertices, state_budget):
+    """Boundary conditions realizable by states of the complement graph,
+    at most 10^4 of them (a seeded sample beyond that)."""
     ext = exterior_boundary(graph, block_vertices)
     if not ext:
         return [dict()], False
@@ -685,24 +683,24 @@ def _boundary_assignments(model, graph, block_vertices, cap, seed,
     cpos = {v: i for i, v in enumerate(comp_chain.vertices)}
     seen = sorted({tuple(s[cpos[w]] for w in ext)
                    for s in comp_chain.states})
+    cap = 10 ** 4
     sampled = len(seen) > cap
     if sampled:
-        rng = make_rng(seed, "block-boundaries")
+        rng = make_rng(0, "block-boundaries")
         seen = sorted(rng.sample(seen, cap))
     return [dict(zip(ext, row)) for row in seen], sampled
 
 
 def block_composition_check(model, graph, partition, instance="",
-                            state_budget=DEFAULT_STATE_BUDGET,
-                            boundary_cap=10 ** 4, seed=0, tol=1e-9):
+                            state_budget=DEFAULT_STATE_BUDGET):
     """Verify tau <= tau_block * max_i tau_i (disjoint blocks, so the
     multiplicity factor is 1).
 
     Site chains (whole graph and per-block conditionals) are lazy; the
     block kernel resamples a uniformly chosen block exactly and is used
     as-is (it is already positive semidefinite).  tau_i maximizes over
-    boundary conditions realizable by complement states, capped at
-    boundary_cap (sampled beyond, and reported).
+    boundary conditions realizable by complement states, capped at 10^4
+    (sampled beyond, and reported).
     """
     chain = transition_matrix(
         enumerate_states(model, graph, budget=state_budget), lazy=True)
@@ -719,7 +717,7 @@ def block_composition_check(model, graph, partition, instance="",
     for block in partition.blocks:
         worst = 0.0
         assignments, sampled = _boundary_assignments(
-            model, graph, block.vertices, boundary_cap, seed, state_budget)
+            model, graph, block.vertices, state_budget)
         any_sampled = any_sampled or sampled
         for bc in assignments:
             sub = enumerate_states(model, graph, budget=state_budget,
@@ -730,6 +728,7 @@ def block_composition_check(model, graph, partition, instance="",
             worst = max(worst, relaxation_time(sub))
         taus.append(worst)
     bound = tau_block * max(taus)
+    tol = 1e-9
     record = BoundRecord(instance=instance, bound_name="block-composition",
                          bound_value=bound, exact_value=tau,
                          passed=tau <= bound * (1.0 + tol) + tol,
@@ -737,28 +736,6 @@ def block_composition_check(model, graph, partition, instance="",
     details = {"tau_block": tau_block, "tau_blocks": taus,
                "boundaries_sampled": any_sampled}
     return record, details
-
-
-def path_density(g, tree, root):
-    """Max over root-starting paths in the tree of the ambient degree sum."""
-    tset = set(tree)
-    if root not in tset:
-        raise ValueError(f"root {root} not in the tree")
-    dist = bfs_distances(g, root, within=tset)
-    if len(dist) != len(tset):
-        raise ValueError("tree vertex set is not connected")
-    if induced_excess(g, tset) != 0:
-        raise ValueError("vertex set does not induce a tree")
-
-    best = 0
-    stack = [(root, None, 0)]
-    while stack:
-        u, parent, acc = stack.pop()
-        acc += g.degree(u)
-        best = max(best, acc)
-        stack.extend((w, u, acc) for w in g.adj[u]
-                     if w != parent and w in tset)
-    return best
 
 
 def format_chain_dump(chain):

@@ -320,8 +320,7 @@ def max_path_alpha_weight(g, alpha, l, node_budget=DEFAULT_NODE_BUDGET,
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(
-                f"path enumeration exceeded {node_budget} nodes",
-                reached=nodes)
+                f"path enumeration exceeded {node_budget} nodes")
         path.append(v)
         in_path[v] = 1
         total += phi[v]
@@ -404,10 +403,15 @@ class HypothesisParams:
             raise ValueError("delta must be positive")
 
 
+def _check_log_base(base):
+    # NaN fails both comparisons, so it is rejected too.
+    if not 1.0 < base < math.inf:
+        raise ValueError("log base must exceed 1 and be finite")
+
+
 def log_radius(coef, n, base=math.e):
     """ceil(coef * log_base(n)) as an integer radius; n <= 1 gives 0."""
-    if base <= 1.0:
-        raise ValueError("log base must exceed 1")
+    _check_log_base(base)
     if n <= 1:
         return 0
     return math.ceil(coef * math.log(n) / math.log(base))
@@ -431,7 +435,7 @@ class HypothesisReport:
 
 
 def check_hypothesis(g, params, node_budget=DEFAULT_NODE_BUDGET,
-                     log_base=math.e, witness_cap=20):
+                     log_base=math.e):
     """Check the two structural clauses on every vertex.
 
     Clause 1: tree excess of B(v, ceil(a*log n)) at most t, for all v.
@@ -444,7 +448,7 @@ def check_hypothesis(g, params, node_budget=DEFAULT_NODE_BUDGET,
     phi, excess = _sweep(g, alpha=params.alpha, radius=radius)
     bad = [int(v) for v in np.nonzero(excess > params.t)[0]]
     witness = [{"vertex": v, "excess": int(excess[v])}
-               for v in bad[:witness_cap]]
+               for v in bad[:20]]
     report.add(CheckRecord(
         check="tree-excess",
         passed=not bad,
@@ -468,58 +472,6 @@ def check_hypothesis(g, params, node_budget=DEFAULT_NODE_BUDGET,
     ))
     return HypothesisReport(params=params, radius=radius, report=report,
                             m_alpha=mpw.value, phi=phi)
-
-
-def expansion_probe(g, smin, h, trials, seed=0):
-    """Sample random connected subsets and check vertex expansion.
-
-    Each trial grows a connected subset of size in [smin, 2*smin] by seeded
-    uniform frontier additions, then checks that the number of vertices at
-    distance exactly 1 is at most (h-1) * |subset|.  An empirical probe,
-    not a proof; exhausted components smaller than smin are skipped.
-    """
-    if smin < 1:
-        raise ValueError("smin must be at least 1")
-    if h <= 1:
-        raise ValueError("h must exceed 1")
-    if g.n == 0:
-        raise ValueError("empty graph")
-    rng = make_rng(seed, "expansion")
-    worst_ratio = -1.0
-    worst_subset = ()
-    violations = 0
-    skipped = 0
-    for _ in range(trials):
-        target = rng.randint(smin, 2 * smin)
-        start = rng.randrange(g.n)
-        subset = {start}
-        candidates = [w for w in g.adj[start]]
-        while len(subset) < target and candidates:
-            pick = candidates.pop(rng.randrange(len(candidates)))
-            if pick in subset:
-                continue
-            subset.add(pick)
-            candidates.extend(w for w in g.adj[pick] if w not in subset)
-        if len(subset) < smin:
-            skipped += 1
-            continue
-        bsize = len(exterior_boundary(g, subset))
-        ratio = bsize / len(subset)
-        if bsize > (h - 1) * len(subset):
-            violations += 1
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst_subset = tuple(sorted(subset))
-    report = Report()
-    report.add(CheckRecord(
-        check="expansion",
-        passed=violations == 0,
-        witness={"worst_subset": list(worst_subset), "skipped": skipped,
-                 "violations": violations},
-        value=worst_ratio,
-        bound=h - 1,
-    ))
-    return report
 
 
 def generate_er(n, d, seed):

@@ -10,7 +10,7 @@ finite g everywhere.
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NoFeasibleStateError, PaletteExhaustedError
 from .rng import sample_index
@@ -230,19 +230,6 @@ class HeatBath:
         return list(self._open)
 
 
-def activity_free(model):
-    """The same model with h forced to zero (hard constraints kept).
-
-    For hardcore that is the model at activity 0; coloring already has
-    h = 0.  Idempotent.
-    """
-    if all(x == 0.0 for x in model.h):
-        return model
-    if model.kind == "hardcore":
-        return hardcore_model(0.0)
-    return replace(model, h=(0.0,) * model.q)
-
-
 @dataclass(frozen=True)
 class ModelNorm:
     value: float
@@ -378,29 +365,3 @@ def write_model(model, path):
 def read_model(path):
     with open(path) as fh:
         return model_from_json_dict(json.load(fh))
-
-
-def format_configuration(config):
-    return " ".join(str(x) for x in config) + "\n"
-
-
-def parse_configuration(text, model=None, graph=None):
-    values = [int(tok) for tok in text.split()]
-    if graph is not None and len(values) != graph.n:
-        raise ValueError(
-            f"configuration has {len(values)} entries, graph has {graph.n}")
-    if model is not None:
-        for x in values:
-            if not 0 <= x < model.q:
-                raise ValueError(f"state {x} out of range for q={model.q}")
-    return values
-
-
-def write_configuration(config, path):
-    with open(path, "w") as fh:
-        fh.write(format_configuration(config))
-
-
-def read_configuration(path, model=None, graph=None):
-    with open(path) as fh:
-        return parse_configuration(fh.read(), model=model, graph=graph)

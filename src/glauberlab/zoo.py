@@ -21,7 +21,7 @@ from .exact import (DEFAULT_MIXING_HORIZON, DEFAULT_STATE_BUDGET,
                     sandwich_check, soft_norm_threshold, transition_matrix,
                     tree_decay_check)
 from .graphs import Graph, bfs_distances
-from .models import coloring_model, hardcore_model, soft_model
+from .models import coloring_model, hardcore_model, model_norm, soft_model
 from .records import BoundRecord, CheckRecord, Report
 from .rng import make_rng
 
@@ -38,14 +38,14 @@ def _canonical_edges(n, edges):
 
 
 @functools.lru_cache(maxsize=None)
-def connected_graphs(max_n=5):
-    """All connected graphs on 1..max_n vertices up to isomorphism.
+def connected_graphs():
+    """All connected graphs on 1..5 vertices up to isomorphism.
 
     Returns [(name, Graph)] with names G{n}.{k}, ordered by vertex count,
     then edge count, then canonical edge list.
     """
     out = []
-    for n in range(1, max_n + 1):
+    for n in range(1, 6):
         pairs = list(itertools.combinations(range(n), 2))
         reps = set()
         for bits in range(1 << len(pairs)):
@@ -175,11 +175,11 @@ def _regular_classes(n, d):
 
 
 @functools.lru_cache(maxsize=None)
-def regular_graphs(max_n=8):
+def regular_graphs():
     """All regular graphs (any degree, connectivity not required) on
-    1..max_n vertices up to isomorphism, as [(name, degree, Graph)]."""
+    1..8 vertices up to isomorphism, as [(name, degree, Graph)]."""
     out = []
-    for n in range(1, max_n + 1):
+    for n in range(1, 9):
         for d in range(n):
             for i, edges in enumerate(_regular_classes(n, d), start=1):
                 out.append((f"reg{d}-n{n}-{i}", d, Graph(n, edges)))
@@ -301,8 +301,8 @@ def partitioned_cases():
     bound; blocks cover the graph disjointly."""
     e = math.e
 
-    def part(blocks, t=1):
-        return BlockPartition(blocks=tuple(blocks), L=1.0, log_base=e, t=t)
+    def part(blocks):
+        return BlockPartition(blocks=tuple(blocks), L=1.0, log_base=e, t=1)
 
     cases = []
     path3 = Graph(3, [(0, 1), (1, 2)])
@@ -352,12 +352,12 @@ def _skip(report, instance, reason):
                            witness={"instance": instance, "reason": reason}))
 
 
-def _zoo_chains(max_n, state_budget, lazy=True):
+def _zoo_chains(state_budget):
     """Yield (instance, chain) for every model x connected graph that is
     feasible, irreducible, and within budget; infeasible or degenerate
     combinations come out as (instance, reason string)."""
     for mname, model in model_grid():
-        for gname, graph in connected_graphs(max_n):
+        for gname, graph in connected_graphs():
             instance = f"{mname}/{gname}"
             try:
                 chain = enumerate_states(model, graph, budget=state_budget)
@@ -367,30 +367,30 @@ def _zoo_chains(max_n, state_budget, lazy=True):
             if not chain.states:
                 yield instance, "no feasible configuration"
                 continue
-            transition_matrix(chain, lazy=lazy)
+            transition_matrix(chain, lazy=True)
             if not is_irreducible(chain):
                 yield instance, "reducible chain"
                 continue
             yield instance, chain
 
 
-def suite_sandwich(max_n=5, state_budget=DEFAULT_STATE_BUDGET,
-                   horizon=DEFAULT_MIXING_HORIZON, tol=1e-9):
+def suite_sandwich(state_budget=DEFAULT_STATE_BUDGET,
+                   horizon=DEFAULT_MIXING_HORIZON):
     report = Report()
-    for instance, chain in _zoo_chains(max_n, state_budget):
+    for instance, chain in _zoo_chains(state_budget):
         if isinstance(chain, str):
             _skip(report, instance, chain)
             continue
-        for rec in sandwich_check(chain, instance=instance, tol=tol,
-                                  horizon=horizon):
+        for rec in sandwich_check(chain, instance=instance, horizon=horizon):
             report.add(rec)
     return report
 
 
-def suite_cheeger(max_n=5, state_budget=DEFAULT_STATE_BUDGET,
-                  horizon=DEFAULT_MIXING_HORIZON, tol=1e-9):
+def suite_cheeger(state_budget=DEFAULT_STATE_BUDGET,
+                  horizon=DEFAULT_MIXING_HORIZON):
+    tol = 1e-9
     report = Report()
-    for instance, chain in _zoo_chains(max_n, state_budget):
+    for instance, chain in _zoo_chains(state_budget):
         if isinstance(chain, str):
             _skip(report, instance, chain)
             continue
@@ -408,12 +408,13 @@ def suite_cheeger(max_n=5, state_budget=DEFAULT_STATE_BUDGET,
     return report
 
 
-def suite_canonical(max_n=5, state_budget=DEFAULT_STATE_BUDGET, tol=1e-9):
+def suite_canonical(state_budget=DEFAULT_STATE_BUDGET):
+    tol = 1e-9
     report = Report()
     for mname, model in model_grid():
         if model.kind != "hardcore":
             continue
-        for gname, graph in connected_graphs(max_n):
+        for gname, graph in connected_graphs():
             instance = f"{mname}/{gname}"
             cp = canonical_path_bound(model, graph, lazy=True,
                                       budget=state_budget)
@@ -437,8 +438,7 @@ def _decay_soft_model(lam):
     for a in range(q):
         for b in range(a, q):
             g[a][b] = g[b][a] = rng.uniform(-1.0, 1.0)
-    peak = max(max(abs(x) for x in h),
-               max(abs(x) for row in g for x in row))
+    peak = model_norm(soft_model(h, g)).value
     scale = 0.9 * soft_norm_threshold(lam) / peak
     return soft_model(tuple(x * scale for x in h),
                       tuple(tuple(x * scale for x in row) for row in g))
@@ -456,12 +456,12 @@ def decay_panel(lam=0.25):
     ]
 
 
-def suite_decay(lam=0.25, tree_sizes=(5, 7, 9), seeds=(1, 2),
-                boundary_samples=200):
+def suite_decay(boundary_samples=200):
+    lam = 0.25
     report = Report()
     for mname, model in decay_panel(lam):
-        for k in tree_sizes:
-            for seed in seeds:
+        for k in (5, 7, 9):
+            for seed in (1, 2):
                 graph = random_tree(k, seed)
                 leaves = [v for v in range(k) if graph.degree(v) == 1]
                 subset = [v for v in range(k) if v not in set(leaves)]
@@ -481,7 +481,8 @@ def suite_decay(lam=0.25, tree_sizes=(5, 7, 9), seeds=(1, 2),
     return report
 
 
-def suite_skeleton_joint(tol=1e-12):
+def suite_skeleton_joint():
+    tol = 1e-12
     report = Report()
     for name, model, graph, block, boundary in skeleton_block_cases():
         composed = compose_block_law(model, graph, block, boundary)
@@ -496,13 +497,12 @@ def suite_skeleton_joint(tol=1e-12):
     return report
 
 
-def suite_block_composition(state_budget=DEFAULT_STATE_BUDGET, tol=1e-9):
+def suite_block_composition(state_budget=DEFAULT_STATE_BUDGET):
     report = Report()
     for name, model, graph, partition in partitioned_cases():
         record, _ = block_composition_check(model, graph, partition,
                                             instance=name,
-                                            state_budget=state_budget,
-                                            tol=tol)
+                                            state_budget=state_budget)
         report.add(record)
     return report
 

@@ -169,6 +169,30 @@ class TestLogBase:
                     ["--config", str(cfg), "--out", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["check", "decompose"])
+    @pytest.mark.parametrize("base", ["inf", "nan"])
+    def test_flag_not_finite_is_invalid(self, triangle_files, tmp_path,
+                                        command, base):
+        # a base of inf would make every radius and bound 0 and still
+        # give a verdict
+        gp, _ = triangle_files
+        out = tmp_path / "out.json"
+        assert main([command, str(gp)] + self.params +
+                    ["--log-base", base, "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["check", "decompose"])
+    def test_config_infinite_is_invalid(self, triangle_files, tmp_path,
+                                        command):
+        # json reads Infinity as a float, so the type check alone passes it
+        gp, _ = triangle_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"log_base": float("inf")}))
+        out = tmp_path / "out.json"
+        assert main([command, str(gp)] + self.params +
+                    ["--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+
 
 class TestSample:
     def test_pinned_digest_and_artifacts(self, er_graph, tmp_path):

@@ -401,34 +401,6 @@ class TestBlockComposition:
             assert rec.bound_value >= rec.exact_value - 1e-9
 
 
-class TestPathDensity:
-    def test_pins(self):
-        star = gl.Graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert gl.path_density(path3(), (0, 1, 2), 0) == 4
-        assert gl.path_density(star, (0, 1, 2, 3), 0) == 4
-        assert gl.path_density(gl.Graph(1, []), (0,), 0) == 0
-
-    def test_ambient_degrees_counted(self):
-        # path inside a triangle-with-tail: ambient degrees exceed the
-        # induced ones
-        g = gl.Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-        assert gl.path_density(g, (2, 3), 2) == 4
-
-    def test_rejects_cyclic_subset(self):
-        with pytest.raises(ValueError):
-            gl.path_density(triangle(), (0, 1, 2), 0)
-
-    def test_long_path_closed_form(self):
-        # deeper than the recursion limit: from an end the path collects
-        # 1 + 2 * (n - 2) + 1; from r < n / 2 the best side is r..n-1,
-        # which collects 2 * (n - r - 1) + 1
-        n = 5000
-        g = gl.Graph(n, [(i, i + 1) for i in range(n - 1)])
-        assert gl.path_density(g, range(n), 0) == 2 * n - 2
-        r = 1234
-        assert gl.path_density(g, range(n), r) == 2 * (n - 1 - r) + 1
-
-
 class TestChainDump:
     def test_contains_states_and_rows(self):
         ch = built(gl.hardcore_model(0.0), edge())

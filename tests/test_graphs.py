@@ -280,20 +280,6 @@ class TestHypothesis:
         assert np.allclose(rep.phi, gl.alpha_weights_all(g, 0.25))
 
 
-class TestExpansionProbe:
-    def test_cycle_expands(self):
-        g = gl.Graph(12, [(i, (i + 1) % 12) for i in range(12)])
-        rep = gl.expansion_probe(g, smin=2, h=3.0, trials=30, seed=1)
-        assert rep.passed
-
-    def test_validates_inputs(self):
-        g = path3()
-        with pytest.raises(ValueError):
-            gl.expansion_probe(g, smin=0, h=2.0, trials=1)
-        with pytest.raises(ValueError):
-            gl.expansion_probe(g, smin=1, h=1.0, trials=1)
-
-
 class TestGenerateEr:
     def test_deterministic(self):
         a = gl.generate_er(200, 2.0, seed=5)

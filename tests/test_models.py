@@ -127,20 +127,6 @@ class TestLocalConditional:
         assert probs == pytest.approx([1.0, 0.0, 0.0])
 
 
-class TestActivityFree:
-    def test_hardcore_drops_to_zero(self):
-        m = gl.activity_free(gl.hardcore_model(2.0))
-        assert m.beta == 0.0 and m.h == (0.0, 0.0)
-
-    def test_idempotent(self):
-        m = gl.activity_free(soft_example())
-        assert gl.activity_free(m) is m
-
-    def test_keeps_hard_constraints(self):
-        m = gl.activity_free(gl.hardcore_model(1.0))
-        assert m.g[1][1] == -math.inf
-
-
 class TestModelNorm:
     def test_coloring_is_zero_hard(self):
         norm = gl.model_norm(gl.coloring_model(3))
@@ -235,17 +221,6 @@ class TestModelIO:
         d = gl.model_to_json_dict(gl.coloring_model(3))
         m = gl.model_from_json_dict(d)
         assert m.g[0][0] == -math.inf
-
-    def test_configuration_round_trip(self, tmp_path):
-        p = tmp_path / "cfg.txt"
-        gl.write_configuration([0, 2, 1], p)
-        assert gl.read_configuration(p) == [0, 2, 1]
-
-    def test_configuration_validated(self):
-        with pytest.raises(ValueError):
-            gl.parse_configuration("0 5 1", model=gl.coloring_model(3))
-        with pytest.raises(ValueError):
-            gl.parse_configuration("0 1", graph=path3())
 
 
 class TestModelJsonValidation:

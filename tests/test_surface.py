@@ -1,0 +1,64 @@
+"""Every public top-level function and class of the package has a caller.
+
+A name counts as called when it appears in another package module (not
+``__init__.py``), in its own module outside its definition, in the
+acceptance gate or in the benchmark harness. ``perfbench/`` and the gate
+are read as text only. A public name that only its own unit tests use
+fails here: delete it, or give it a caller.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "glauberlab"
+
+ALLOWED = {
+    # the checkpoint-resume contract: continue a chain from its .ckpt file
+    "resume_chain",
+    # single-vertex oracles for the whole-graph sweep, which the unit
+    # tests compare it against
+    "alpha_weight",
+    "tree_excess",
+}
+
+
+def words(text):
+    return set(re.findall(r"[A-Za-z_]\w*", text))
+
+
+def module_texts():
+    return {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def public_definitions():
+    """(module, name, module text outside the definition) per public name."""
+    for stem, text in module_texts().items():
+        lines = text.splitlines(keepends=True)
+        for node in ast.parse(text).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                first = min([node.lineno] +
+                            [d.lineno for d in node.decorator_list])
+                outside = lines[:first - 1] + lines[node.end_lineno:]
+                yield stem, node.name, "".join(outside)
+
+
+def test_allowlist_names_exist():
+    assert ALLOWED <= {name for _, name, _ in public_definitions()}
+
+
+def test_every_public_name_has_a_caller():
+    texts = module_texts()
+    readers = sorted((ROOT / "perfbench").glob("*.py"))
+    readers.append(ROOT / "tests" / "test_acceptance.py")
+    called = words("\n".join(p.read_text() for p in readers))
+    uncalled = []
+    for stem, name, own in public_definitions():
+        others = "\n".join(text for other, text in texts.items()
+                           if other not in (stem, "__init__"))
+        if not (name in ALLOWED or name in called or name in words(own)
+                or name in words(others)):
+            uncalled.append(f"{stem}.{name}")
+    assert not uncalled, f"public names without a caller: {uncalled}"
