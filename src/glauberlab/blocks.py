@@ -109,46 +109,110 @@ class _SearchBudget:
         self.limit = limit
         self.used = 0
 
-    def spend(self):
-        self.used += 1
+    def spend(self, amount):
+        self.used += amount
         if self.used > self.limit:
             raise BudgetExceededError(
                 f"skeleton rule search exceeded {self.limit} nodes")
 
 
-def _find_rule_iii(g, W, cap, budget, high):
-    # cap is irrelevant here: a double-attached vertex always joins.
-    if not W:
+class _Skeleton:
+    """The skeleton W with the counts the rules and bounds read, kept up to
+    date by each addition instead of being re-derived from the graph.
+
+    hits[v] is v's number of W-neighbours, anchored holds the vertices
+    outside W with at least one, and a union-find over W keeps at each
+    root comp[root] = [size, induced edge count, minimum vertex] of its
+    component.
+    """
+
+    def __init__(self, g, W=()):
+        self.g = g
+        self.W = set()
+        self.hits = [0] * g.n
+        self.anchored = set()
+        self.parent = {}
+        self.comp = {}
+        self.add(set(W))
+
+    def _find(self, v):
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def _union(self, a, b):
+        if a != b:
+            if self.comp[a][0] < self.comp[b][0]:
+                a, b = b, a
+            self.parent[b] = a
+            size, edges, low = self.comp.pop(b)
+            ca = self.comp[a]
+            ca[:] = ca[0] + size, ca[1] + edges, min(ca[2], low)
+        return a
+
+    def add(self, vertices):
+        """Put vertices (outside W) into W; returns the root of the last
+        one's component, which holds them all when they are connected."""
+        W, hits, anchored = self.W, self.hits, self.anchored
+        root = None
+        for v in vertices:
+            W.add(v)
+            anchored.discard(v)
+            self.parent[v] = v
+            self.comp[v] = [1, 0, v]
+            root = v
+            for w in self.g.adj[v]:
+                hits[w] += 1
+                if w in W:
+                    root = self._union(root, self._find(w))
+                    self.comp[root][1] += 1
+                else:
+                    anchored.add(w)
+        return root
+
+
+def _find_rule_iii(g, sk, cap, budget, high):
+    # cap is irrelevant here: a double-attached vertex always joins.  The
+    # scan spends once per vertex outside W up to the first with two
+    # W-neighbours; that count is charged at once.
+    if not sk.W:
         return None
-    for v in (range(g.n - 1, -1, -1) if high else range(g.n)):
-        if v in W:
-            continue
-        budget.spend()
-        hits = 0
-        for w in g.adj[v]:
-            if w in W:
-                hits += 1
-                if hits == 2:
-                    return (v,)
-    return None
+    double = [v for v in sk.anchored if sk.hits[v] >= 2]
+    if not double:
+        budget.spend(g.n - len(sk.W))
+        return None
+    if high:
+        v = max(double)
+        budget.spend(g.n - v - sum(1 for w in sk.W if w > v))
+    else:
+        v = min(double)
+        budget.spend(v + 1 - sum(1 for w in sk.W if w < v))
+    return (v,)
 
 
 def _short_path(g, W, s, ends, max_dist, budget, banned=None):
     """Shortest path from s through V-W to the first vertex of ends within
-    max_dist edges, never using edge (s, banned); spends once per expansion."""
+    max_dist edges, never using edge (s, banned).
+
+    Spends once per expansion, charged when the probe ends: the budget
+    trips on exactly the probes where per-expansion charging would.
+    """
     parent = {s: None}
     frontier = [s]
-    depth = 0
+    depth = expanded = 0
     while frontier and depth < max_dist:
         depth += 1
         nxt = []
         for u in frontier:
-            budget.spend()
+            expanded += 1
             for w in g.adj[u]:
                 if w in W or w in parent or (u == s and w == banned):
                     continue
                 parent[w] = u
                 if w in ends:
+                    budget.spend(expanded)
                     path = []
                     while w is not None:
                         path.append(w)
@@ -156,27 +220,28 @@ def _short_path(g, W, s, ends, max_dist, budget, banned=None):
                     return tuple(reversed(path))
                 nxt.append(w)
         frontier = nxt
+    budget.spend(expanded)
     return None
 
 
-def _find_rule_ii(g, W, cap, budget, high):
+def _find_rule_ii(g, sk, cap, budget, high):
     # Path of m = dist+1 vertices with 2 <= m < cap, so dist <= ceil(cap)-2.
-    if cap <= 2.0 or not W:
+    if cap <= 2.0 or not sk.W:
         return None
-    anchored = {v for v in range(g.n)
-                if v not in W and any(w in W for w in g.adj[v])}
-    for s in sorted(anchored, reverse=high):
-        path = _short_path(g, W, s, anchored, math.ceil(cap) - 2, budget)
+    for s in sorted(sk.anchored, reverse=high):
+        path = _short_path(g, sk.W, s, sk.anchored, math.ceil(cap) - 2,
+                           budget)
         if path:
             return path
     return None
 
 
-def _find_rule_i(g, W, cap, budget, high):
+def _find_rule_i(g, sk, cap, budget, high):
     # Cycle of m = dist+1 vertices with 3 <= m < cap, where dist is the
     # length of the shortest path between the edge's ends avoiding it.
     if cap <= 3.0:
         return None
+    W = sk.W
     edges = [e for e in g.edges if e[0] not in W and e[1] not in W]
     for u, v in (reversed(edges) if high else edges):
         path = _short_path(g, W, u, {v}, math.ceil(cap) - 2, budget,
@@ -191,10 +256,10 @@ _RULES = (("iii", _find_rule_iii), ("ii", _find_rule_ii),
           ("i", _find_rule_i))
 
 
-def _first_rule(g, W, cap, budget, high):
-    """(name, addition) of the first rule that fires on W, or None."""
+def _first_rule(g, sk, cap, budget, high):
+    """(name, addition) of the first rule that fires on sk.W, or None."""
     for name, rule in (_RULES[::-1] if high else _RULES):
-        addition = rule(g, W, cap, budget, high)
+        addition = rule(g, sk, cap, budget, high)
         if addition:
             return name, addition
     return None
@@ -211,20 +276,6 @@ def _rule_cap(g, L, log_base):
     return 5.0 * L * _log_n(g.n, log_base)
 
 
-def _check_skeleton_bounds(g, W, size_cap, t):
-    for comp in induced_components(g, W):
-        if len(comp) > size_cap:
-            raise SkeletonBoundError(
-                f"skeleton component of size {len(comp)} exceeds "
-                f"{size_cap:.3f}; the graph fails the hypothesis at these "
-                f"parameters (component min vertex {comp[0]})")
-        excess = induced_excess(g, comp)
-        if excess > t:
-            raise SkeletonBoundError(
-                f"skeleton component has tree excess {excess} > {t} "
-                f"(component min vertex {comp[0]})")
-
-
 def build_skeleton(g, labeling, L, t, log_base=math.e, scan_order="low",
                    node_budget=DEFAULT_NODE_BUDGET):
     """Grow the skeleton W from empty to a fixed point of the three rules.
@@ -234,8 +285,9 @@ def build_skeleton(g, labeling, L, t, log_base=math.e, scan_order="low",
     (iii) a vertex with two W-neighbors.  The fixed point is order
     independent, so the scan order only affects the trace: "low" tries
     (iii),(ii),(i) scanning vertices upward, "high" tries (i),(ii),(iii)
-    scanning downward.  Rule searches are exact shortest-path probes, and
-    each addition re-checks the per-component size and excess bounds.
+    scanning downward.  Rule searches are exact shortest-path probes.
+    Each addition is connected, so it changes only the component it joins,
+    and that component alone is checked against the size and excess bounds.
 
     ``labeling`` is accepted for interface symmetry: the rules themselves
     never consult goodness (only the termination guarantee does).
@@ -248,17 +300,26 @@ def build_skeleton(g, labeling, L, t, log_base=math.e, scan_order="low",
     high = scan_order == "high"
     budget = _SearchBudget(node_budget)
 
-    W = set()
-    while found := _first_rule(g, W, cap, budget, high):
-        W.update(found[1])
-        _check_skeleton_bounds(g, W, size_cap, t)
-    return induced_components(g, W)
+    sk = _Skeleton(g)
+    while found := _first_rule(g, sk, cap, budget, high):
+        size, edges, low = sk.comp[sk.add(found[1])]
+        if size > size_cap:
+            raise SkeletonBoundError(
+                f"skeleton component of size {size} exceeds "
+                f"{size_cap:.3f}; the graph fails the hypothesis at these "
+                f"parameters (component min vertex {low})")
+        excess = edges - size + 1
+        if excess > t:
+            raise SkeletonBoundError(
+                f"skeleton component has tree excess {excess} > {t} "
+                f"(component min vertex {low})")
+    return induced_components(g, sk.W)
 
 
 def has_applicable_rule(g, W, L):
     """Name of the first rule that can still fire, or None at a fixed point
     (natural logs, default node budget)."""
-    found = _first_rule(g, set(W), _rule_cap(g, L, math.e),
+    found = _first_rule(g, _Skeleton(g, W), _rule_cap(g, L, math.e),
                         _SearchBudget(DEFAULT_NODE_BUDGET), False)
     return found[0] if found else None
 
@@ -361,13 +422,30 @@ def build_blocks(g, labeling, skeleton, L, t=None, log_base=math.e):
 
 
 def _block_diameter(g, vertices):
+    """Exact diameter of the subgraph induced on vertices, inf if it is
+    disconnected, from a few BFS (Takes and Kosters, CIKM 2011).
+
+    A BFS from v gives ecc(v), a lower bound on the diameter, and bounds
+    every ecc(w) above by ecc(v) + d(v, w).  Vertices whose bound cannot
+    beat the lower bound drop out; the next source is the remaining vertex
+    with the largest bound, ties to the first in block order.
+    """
     vset = set(vertices)
+    upper = dict.fromkeys(vertices, math.inf)
     diam = 0
-    for v in vertices:
+    while upper:
+        v = max(upper, key=upper.get)
         dist = bfs_distances(g, v, within=vset)
         if len(dist) < len(vset):
             return math.inf
-        diam = max(diam, max(dist.values()))
+        ecc = max(dist.values())
+        diam = max(diam, ecc)
+        left = {}
+        for w, bound in upper.items():
+            bound = min(bound, ecc + dist[w])
+            if bound > diam:
+                left[w] = bound
+        upper = left
     return diam
 
 

@@ -187,6 +187,7 @@ def cmd_exact(args, cfg):
     model = read_model(args.model)
     g = read_edge_list(args.graph)
     budget = _positive(args.budget, cfg, "state_budget", "budget")
+    horizon = _positive(None, cfg, "mixing_horizon", "mixing horizon")
     chain = enumerate_states(model, g, budget=budget)
     if not chain.states:
         payload = {"states": 0, "note": "no feasible configuration"}
@@ -201,7 +202,7 @@ def cmd_exact(args, cfg):
     code = EXIT_PASS
     try:
         tau = relaxation_time(chain)
-        tmix = mixing_time(chain, horizon=cfg["mixing_horizon"])
+        tmix = mixing_time(chain, horizon=horizon)
         recs = sandwich_check(chain, instance=f"{args.model}:{args.graph}",
                               tau=tau, tmix=tmix)
         payload.update({"relaxation": tau, "mixing": tmix,
@@ -227,8 +228,12 @@ _SUITE_KNOBS = {
 def cmd_verify(args, cfg):
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     budget = _positive(args.budget, cfg, "state_budget", "budget")
-    values = {"state_budget": budget, "horizon": cfg["mixing_horizon"],
-              "boundary_samples": cfg["decay_boundary_samples"]}
+    values = {"state_budget": budget,
+              "horizon": _positive(None, cfg, "mixing_horizon",
+                                   "mixing horizon"),
+              "boundary_samples": _positive(None, cfg,
+                                            "decay_boundary_samples",
+                                            "decay boundary samples")}
     records = []
     counts = {"passed": 0, "failed": 0, "skipped": 0}
     for name in names:

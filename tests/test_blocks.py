@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import glauberlab as gl
+from glauberlab import blocks as gl_blocks
+from glauberlab.graphs import induced_components
 
 
 def c6():
@@ -39,6 +41,19 @@ def oracle_bad_classes(g, labeling):
     for v in bad:
         classes.setdefault(find(v), set()).add(v)
     return sorted(frozenset(c) for c in classes.values())
+
+
+def oracle_block_diameter(g, vertices):
+    """All-sources oracle: the largest BFS distance inside the block from
+    any of its vertices, inf when the block is disconnected."""
+    vset = set(vertices)
+    diam = 0
+    for v in vertices:
+        dist = gl.bfs_distances(g, v, within=vset)
+        if len(dist) < len(vset):
+            return math.inf
+        diam = max(diam, max(dist.values()))
+    return diam
 
 
 def oracle_units(g, labeling):
@@ -145,6 +160,31 @@ class TestBuildSkeleton:
         g = c6()
         with pytest.raises(gl.SkeletonBoundError):
             gl.build_skeleton(g, self.good_labeling(g), L=1.0, t=0)
+
+    # Messages recorded on the construction that split all of W into
+    # components again after every addition.  At t = 3 (high scan) the
+    # excess clause fires at the 7th addition, with three components in
+    # W; at t = 8 at the 12th, with four.  The size clause fires only at
+    # t < 1, on the first addition: every skeleton component has excess at
+    # least 1, and each addition adds fewer than 5 L log n vertices while
+    # raising twice the excess minus the component count by at least one,
+    # so a component of excess e <= t has fewer than 5 (2e - 1) L log n <
+    # 20 t L log n vertices.
+    @pytest.mark.parametrize("seed, t, message", [
+        (2, 3, "skeleton component has tree excess 4 > 3 "
+               "(component min vertex 15)"),
+        (1, 8, "skeleton component has tree excess 10 > 8 "
+               "(component min vertex 0)"),
+        (2, 0, "skeleton component of size 7 exceeds 0.000; the graph "
+               "fails the hypothesis at these parameters (component min "
+               "vertex 15)"),
+    ], ids=["excess-t3", "excess-t8", "size-t0"])
+    def test_bound_error_message_pinned(self, seed, t, message):
+        g = gl.generate_er(400, 2.5, seed=seed)
+        with pytest.raises(gl.SkeletonBoundError) as err:
+            gl.build_skeleton(g, self.good_labeling(g), 2 / math.log(g.n),
+                              t=t, scan_order="high")
+        assert str(err.value) == message
 
     def test_order_independent_fixed_point(self):
         for seed in range(8):
@@ -284,6 +324,46 @@ class TestBuildBlocks:
             assert got == oracle_units(g, lab)
             assert all(b.kind == ("singleton" if len(b.vertices) == 1
                                   else "tree") for b in part.blocks)
+
+
+class TestBlockDiameter:
+    """The few-source diameter against the all-sources oracle."""
+
+    def test_random_vertex_sets(self):
+        rng = np.random.default_rng(12)
+        disconnected = 0
+        for seed in range(300):
+            n = int(rng.integers(10, 80))
+            g = gl.generate_er(n, float(rng.choice([1.5, 2.5, 4.0])),
+                               seed=seed)
+            k = int(rng.integers(1, n + 1))
+            vertices = tuple(int(v) for v in rng.permutation(n)[:k])
+            want = oracle_block_diameter(g, vertices)
+            assert gl_blocks._block_diameter(g, vertices) == want
+            assert gl_blocks._block_diameter(g, sorted(vertices)) == want
+            disconnected += want == math.inf
+        assert 30 < disconnected < 270
+
+    def test_single_vertices_paths_and_cycles(self):
+        for n in range(1, 41):
+            path = gl.Graph(n, [(i, i + 1) for i in range(n - 1)])
+            assert gl_blocks._block_diameter(path, (n - 1,)) == 0
+            assert gl_blocks._block_diameter(path, tuple(range(n))) == n - 1
+            if n >= 3:
+                cycle = gl.Graph(n, [(i, (i + 1) % n) for i in range(n)])
+                assert (gl_blocks._block_diameter(cycle, tuple(range(n)))
+                        == n // 2)
+                # the cycle less one vertex is a path
+                assert (gl_blocks._block_diameter(cycle, tuple(range(1, n)))
+                        == oracle_block_diameter(cycle, range(1, n)) == n - 2)
+
+    @pytest.mark.parametrize("d", [1.0, 1.5, 2.0, 3.0])
+    def test_er_components(self, d):
+        for seed in range(25):
+            g = gl.generate_er(300, d, seed=seed)
+            for comp in induced_components(g, range(g.n)):
+                assert (gl_blocks._block_diameter(g, comp)
+                        == oracle_block_diameter(g, comp))
 
 
 class TestValidatePartition:

@@ -632,3 +632,36 @@ class TestConfigTypes:
         cfg.write_text(json.dumps({"log_base": 2, "seed": 4}))
         got = gl_cli.load_config(cfg)
         assert got["log_base"] == 2 and got["seed"] == 4
+
+
+class TestConfigCounts:
+    # Counts read from the config are checked like the flags that carry
+    # them: below one is invalid input, and nothing is written.
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_exact_mixing_horizon_below_one(self, triangle_files, tmp_path,
+                                            value):
+        gp, mp = triangle_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mixing_horizon": value}))
+        out = tmp_path / "ex.json"
+        assert main(["exact", "--model", str(mp), "--graph", str(gp),
+                     "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_verify_mixing_horizon_below_one(self, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mixing_horizon": value}))
+        out = tmp_path / "v.json"
+        assert main(["verify", "--suite", "sandwich", "--config", str(cfg),
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_verify_decay_boundary_samples_below_one(self, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"decay_boundary_samples": value}))
+        out = tmp_path / "v.json"
+        assert main(["verify", "--suite", "decay", "--config", str(cfg),
+                     "--out", str(out)]) == 3
+        assert not out.exists()
