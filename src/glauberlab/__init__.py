@@ -8,10 +8,9 @@ from .blocks import (BlockParams, BlockPartition, Block, GoodBadLabeling,
                      partition_to_json_dict, read_partition,
                      validate_partition, write_partition)
 from .dynamics import (ChainState, coalescence_time, contraction_probe,
-                       coupled_step, maximal_coupling_entries,
                        read_checkpoint, resume_chain, run_block_chain,
-                       run_chain, sample_maximal_coupling, block_step,
-                       visit_counts, write_checkpoint)
+                       run_chain, block_step, visit_counts,
+                       write_checkpoint)
 from .errors import (BoundaryInfeasibleError, BudgetExceededError,
                      CheegerHypothesisError, DegenerateChainError,
                      HorizonExceededError, NoFeasibleStateError,
@@ -36,9 +35,10 @@ from .graphs import (AlphaWeight, Boundaries, Graph, HypothesisParams,
                      write_edge_list)
 from .models import (HeatBath, SpinModel, coloring_model, greedy_coloring,
                      hardcore_model, initial_configuration, is_feasible,
-                     local_conditional, log_weight, model_from_json_dict,
+                     local_conditional, log_weight,
+                     maximal_coupling_entries, model_from_json_dict,
                      model_norm, model_to_json_dict, read_model,
-                     soft_model, write_model)
+                     sample_maximal_coupling, soft_model, write_model)
 from .records import BoundRecord, CheckRecord, Report
 from .rng import derive_seed, make_rng, sample_index
 from .trees import (build_tree_tables, tree_law, tree_root_law,

@@ -22,7 +22,7 @@ from .blocks import decompose, validate_partition, write_partition
 from .defaults import CHOICES, load_config
 from .dynamics import (coalescence_time, run_chain, write_checkpoint)
 from .errors import (BudgetExceededError, DegenerateChainError,
-                     HorizonExceededError)
+                     HorizonExceededError, PaletteExhaustedError)
 from .exact import (detailed_balance_gap, enumerate_states,
                     format_chain_dump, mixing_time, relaxation_time,
                     sandwich_check, transition_matrix)
@@ -256,11 +256,20 @@ def cmd_verify(args, cfg):
 
 def _scaling_start_pair(model, g):
     """Adversarial start pair: two greedy solutions from opposite vertex
-    orders (colorings), or empty versus greedily packed (hardcore)."""
+    orders (colorings), or empty versus greedily packed (hardcore).
+
+    Where index order runs out of colors, the colorings are the
+    smallest-last first-fit coloring and its color reversal c -> q-1-c,
+    proper whenever the first exists.
+    """
     n = g.n
     if model.kind == "coloring":
-        fwd = greedy_coloring(g, model.q)
-        back = greedy_coloring(g, model.q, order=range(n - 1, -1, -1))
+        try:
+            fwd = greedy_coloring(g, model.q)
+            back = greedy_coloring(g, model.q, order=range(n - 1, -1, -1))
+        except PaletteExhaustedError:
+            fwd = initial_configuration(model, g)
+            back = [model.q - 1 - c for c in fwd]
         return fwd, back
     taken = [0] * n
     for v in range(n):
@@ -344,11 +353,16 @@ def cmd_couple(args, cfg):
     horizon = _positive(args.horizon, cfg, "chain_horizon", "horizon")
     a, b = _scaling_start_pair(model, g)
     hamming = sum(1 for x, y in zip(a, b) if x != y)
+    t0 = time.perf_counter()
     steps = coalescence_time(model, g, a, b, horizon, seed=args.seed,
                              lazy=not args.no_lazy)
+    wall = time.perf_counter() - t0
+    done = horizon if steps is None else steps
     payload = {"initial_hamming": hamming, "steps": steps,
                "coalesced": steps is not None, "horizon": horizon}
-    return _emit(args, "couple", payload,
+    meta = {"wall_s": round(wall, 6),
+            "steps_per_s": round(done / wall) if wall > 0 else None}
+    return _emit(args, "couple", payload, meta_extra=meta,
                  code=EXIT_PASS if steps is not None else EXIT_BUDGET)
 
 

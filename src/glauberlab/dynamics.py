@@ -136,100 +136,53 @@ def resume_chain(model, graph, state, steps, lazy=True):
                       rng=state.rng)
 
 
-def maximal_coupling_entries(p, q):
-    """Entries (x, y, mass) of the maximal coupling of two pmfs.
-
-    Diagonal terms min(p,q) come first in index order, then the residuals
-    are paired two-pointer in ascending index; masses sum to one.
-    """
-    if len(p) != len(q):
-        raise ValueError("pmf lengths differ")
-    entries = []
-    rp = []
-    rq = []
-    for x, (a, b) in enumerate(zip(p, q)):
-        m = min(a, b)
-        if m > 0.0:
-            entries.append((x, x, m))
-        if a > m:
-            rp.append([x, a - m])
-        if b > m:
-            rq.append([x, b - m])
-    i = j = 0
-    while i < len(rp) and j < len(rq):
-        m = min(rp[i][1], rq[j][1])
-        entries.append((rp[i][0], rq[j][0], m))
-        rp[i][1] -= m
-        rq[j][1] -= m
-        if rp[i][1] <= 1e-15:
-            i += 1
-        if j < len(rq) and rq[j][1] <= 1e-15:
-            j += 1
-    return entries
-
-
-def sample_maximal_coupling(p, q, u):
-    """Draw a pair from the maximal coupling with one uniform."""
-    entries = maximal_coupling_entries(p, q)
-    total = sum(m for _, _, m in entries)
-    target = u * total
-    acc = 0.0
-    for x, y, m in entries:
-        acc += m
-        if target < acc:
-            return x, y
-    return entries[-1][0], entries[-1][1]
-
-
-def coupled_step(model, graph, left, right, rng, lazy=True, kernel=None):
-    """One synchronized update of two configs sharing all randomness.
-
-    When the chosen vertex sees identical neighborhoods in both copies
-    the single heat-bath draw is reused verbatim, so agreement is
-    preserved exactly; otherwise the two conditionals are joined by their
-    maximal coupling.  ``kernel`` is the model's HeatBath on the graph,
-    built here when not given.
-    """
-    kernel = kernel or HeatBath(model, graph)
-    if lazy and rng.random() < 0.5:
-        return None
-    v = rng.randrange(graph.n)
-    u = rng.random()
-    same = left[v] == right[v] and all(
-        left[w] == right[w] for w in graph.adj[v])
-    if same:
-        x = kernel.draw(left, v, u)
-        left[v] = x
-        right[v] = x
-        return v
-    p = kernel.pmf(left, v)
-    q = kernel.pmf(right, v)
-    x, y = sample_maximal_coupling(p, q, u)
-    left[v] = x
-    right[v] = y
-    return v
-
-
 def coalescence_time(model, graph, start_a, start_b, horizon, seed=0,
                      lazy=True):
-    """Steps until the coupled pair agrees everywhere, or None."""
+    """Steps until the coupled pair agrees everywhere, or None.
+
+    Both copies share every step's coin, vertex and uniform, drawn in the
+    single-site order.  Where the chosen vertex's closed neighborhood
+    agrees, one heat-bath draw is written to both copies, so agreement is
+    kept exactly; elsewhere the two conditionals are joined by their
+    maximal coupling (``HeatBath.couple``).  ``off[v]`` counts the
+    disagreeing vertices of v's closed neighborhood and changes only when
+    a vertex's agreement flips.
+    """
     rng = make_rng(seed, "couple")
     kernel = HeatBath(model, graph)
     a = list(start_a)
     b = list(start_b)
-    disagree = {v for v, (x, y) in enumerate(zip(a, b)) if x != y}
+    adj = graph.adj
+    diff = [x != y for x, y in zip(a, b)]
+    disagree = sum(diff)
     if not disagree:
         return 0
+    off = [d + sum(diff[w] for w in adj[v]) for v, d in enumerate(diff)]
+    n = graph.n
+    coin = uniform = rng.random
+    vertex = rng.randrange
+    draw = kernel.draw
+    couple = kernel.couple
     for step in range(1, horizon + 1):
-        v = coupled_step(model, graph, a, b, rng, lazy=lazy, kernel=kernel)
-        if v is None:
+        if lazy and coin() < 0.5:
             continue
-        if a[v] == b[v]:
-            disagree.discard(v)
+        v = vertex(n)
+        u = uniform()
+        if not off[v]:
+            a[v] = b[v] = draw(a, v, u)
+            continue
+        x, y = couple(a, b, v, u)
+        a[v] = x
+        b[v] = y
+        if (x != y) != diff[v]:
+            diff[v] = x != y
+            flip = 1 if diff[v] else -1
+            off[v] += flip
+            for w in adj[v]:
+                off[w] += flip
+            disagree += flip
             if not disagree:
                 return step
-        else:
-            disagree.add(v)
     return None
 
 

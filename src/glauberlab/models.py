@@ -159,7 +159,9 @@ class HeatBath:
     uniform on the k free colors, so per k one table of the sequential
     partial sums of 1.0/k replays the cumulative walk of ``sample_index``;
     hardcore has one pmf for an unblocked vertex.  Soft models take the
-    generic path.
+    generic path.  ``couple(left, right, v, u)`` equals
+    ``sample_maximal_coupling`` of v's pmfs in the two configurations;
+    colorings read it off the two taken sets with the same tables.
     """
 
     def __init__(self, model, graph):
@@ -169,6 +171,10 @@ class HeatBath:
         self._q = model.q
         if model.kind == "coloring":
             self._cums = [()]
+            # sum() of k masses 1.0/k, as sample_maximal_coupling totals
+            # its entries; compensated on CPython >= 3.12, so it need not
+            # equal the sequential cum[-1]
+            self._totals = [0.0]
             for k in range(1, model.q + 1):
                 w = 1.0 / k
                 acc = 0.0
@@ -177,8 +183,10 @@ class HeatBath:
                     acc += w
                     cum.append(acc)
                 self._cums.append(tuple(cum))
+                self._totals.append(sum([w] * k))
             self.draw = self._draw_coloring
             self.pmf = self._pmf_coloring
+            self.couple = self._couple_coloring
         elif model.kind == "hardcore":
             self._open = neighbor_conditional(model, (), None)
             p0, p1 = self._open
@@ -194,6 +202,12 @@ class HeatBath:
 
     def pmf(self, config, v):
         return local_conditional(self.model, self.graph, config, v)
+
+    def couple(self, left, right, v, u):
+        """The pair (x, y) that ``sample_maximal_coupling`` draws with
+        uniform ``u`` from v's conditionals in the two configurations."""
+        return sample_maximal_coupling(self.pmf(left, v),
+                                       self.pmf(right, v), u)
 
     def _draw_coloring(self, config, v, u):
         taken = {config[w] for w in self._adj[v]}
@@ -218,6 +232,52 @@ class HeatBath:
         p = 1.0 / k
         return [0.0 if c in taken else p for c in range(self._q)]
 
+    def _couple_coloring(self, left, right, v, u):
+        # sample_maximal_coupling's walk, read off the two taken sets: its
+        # entries are the c commonly free colors, each of mass
+        # m = 1/max(kl, kr) with partial sums in _cums, then the residual
+        # pairs in maximal_coupling_entries' order
+        nbrs = self._adj[v]
+        tl = {left[w] for w in nbrs}
+        tr = {right[w] for w in nbrs}
+        q = self._q
+        kl = q - len(tl)
+        if not kl:
+            raise _no_feasible_state(v)
+        kr = q - len(tr)
+        if not kr:
+            raise _no_feasible_state(v)
+        k = max(kl, kr)
+        cum = self._cums[k]
+        taken = tl | tr
+        c = q - len(taken)
+        if kl == kr:
+            # the residuals pair one to one, so all k entries weigh m and
+            # the walk's partial sums are cum itself
+            j = min(bisect_right(cum, u * self._totals[k]), k - 1)
+            if j >= c:
+                j -= c
+                return sorted(tr - tl)[j], sorted(tl - tr)[j]
+        else:
+            m = 1.0 / k
+            pairs = _pair_residuals(_residuals(q, tl, tr, 1.0 / kl, m),
+                                    _residuals(q, tr, tl, 1.0 / kr, m))
+            target = u * sum([m] * c + [mass for _, _, mass in pairs])
+            j = bisect_right(cum, target, 0, c)
+            if j == c:
+                acc = cum[c - 1] if c else 0.0
+                for x, y, mass in pairs:
+                    acc += mass
+                    if target < acc:
+                        return x, y
+                return x, y
+        # the j-th commonly free color, as in _draw_coloring
+        for t in sorted(taken):
+            if t > j:
+                break
+            j += 1
+        return j, j
+
     def _draw_hardcore(self, config, v, u):
         for w in self._adj[v]:
             if config[w]:
@@ -228,6 +288,71 @@ class HeatBath:
         if any(config[w] for w in self._adj[v]):
             return [1.0, 0.0]
         return list(self._open)
+
+
+def _residuals(q, own, other, p, m):
+    """One side's residual entries [x, a - min(a, b)] in ascending color
+    order, as maximal_coupling_entries builds them, for the uniform law of
+    mass p on the colors outside ``own`` against the uniform law on the
+    colors outside ``other``; m is the smaller of the two masses.  A color
+    free on this side only keeps all of p; a commonly free one keeps
+    p - m, which is positive only on the side with fewer free colors."""
+    if p > m:
+        return [[x, p if x in other else p - m]
+                for x in range(q) if x not in own]
+    return [[x, p] for x in sorted(other - own)]
+
+
+def _pair_residuals(rp, rq):
+    """Pair two residual lists two-pointer in list order, consuming them;
+    returns the off-diagonal entries (x, y, mass)."""
+    entries = []
+    i = j = 0
+    while i < len(rp) and j < len(rq):
+        m = min(rp[i][1], rq[j][1])
+        entries.append((rp[i][0], rq[j][0], m))
+        rp[i][1] -= m
+        rq[j][1] -= m
+        if rp[i][1] <= 1e-15:
+            i += 1
+        if j < len(rq) and rq[j][1] <= 1e-15:
+            j += 1
+    return entries
+
+
+def maximal_coupling_entries(p, q):
+    """Entries (x, y, mass) of the maximal coupling of two pmfs.
+
+    Diagonal terms min(p,q) come first in index order, then the residuals
+    are paired two-pointer in ascending index; masses sum to one.
+    """
+    if len(p) != len(q):
+        raise ValueError("pmf lengths differ")
+    entries = []
+    rp = []
+    rq = []
+    for x, (a, b) in enumerate(zip(p, q)):
+        m = min(a, b)
+        if m > 0.0:
+            entries.append((x, x, m))
+        if a > m:
+            rp.append([x, a - m])
+        if b > m:
+            rq.append([x, b - m])
+    return entries + _pair_residuals(rp, rq)
+
+
+def sample_maximal_coupling(p, q, u):
+    """Draw a pair from the maximal coupling with one uniform."""
+    entries = maximal_coupling_entries(p, q)
+    total = sum(m for _, _, m in entries)
+    target = u * total
+    acc = 0.0
+    for x, y, m in entries:
+        acc += m
+        if target < acc:
+            return x, y
+    return entries[-1][0], entries[-1][1]
 
 
 @dataclass(frozen=True)

@@ -156,9 +156,12 @@ class TestBuildSkeleton:
         comps = gl.build_skeleton(g, self.good_labeling(g), L=0.5, t=1)
         assert comps == []
 
-    def test_excess_bound_enforced(self):
+    def test_size_bound_enforced_at_t0(self):
+        # at t = 0 the size cap 20 t L log n is 0, so the size clause
+        # fires first; the excess clause is pinned below
         g = c6()
-        with pytest.raises(gl.SkeletonBoundError):
+        with pytest.raises(gl.SkeletonBoundError,
+                           match="skeleton component of size 6 exceeds"):
             gl.build_skeleton(g, self.good_labeling(g), L=1.0, t=0)
 
     # Messages recorded on the construction that split all of W into

@@ -1,6 +1,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,9 @@ import glauberlab as gl
 from glauberlab import cli as gl_cli
 from glauberlab import exact as gl_exact
 from glauberlab.cli import main
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def payload_digest(path):
@@ -36,6 +43,16 @@ def triangle_files(tmp_path):
 class TestGen:
     def test_writes_pinned_graph(self, er_graph):
         assert er_graph.read_text().splitlines()[0] == "1000 1025"
+
+    def test_runs_as_module_from_source(self, tmp_path):
+        out = tmp_path / "g.edges"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-m", "glauberlab", "gen", "--n", "1000",
+             "--d", "2.0", "--seed", "3", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert out.read_text().splitlines()[0] == "1000 1025"
 
     def test_round_trip(self, er_graph):
         g = gl.read_edge_list(er_graph)
@@ -435,6 +452,34 @@ class TestCouple:
         assert len(rows) == 1
         assert rows[0]["coalesced"] == "True"
         assert int(rows[0]["steps"]) > 0
+
+    def test_meta_reports_wall_and_rate(self, triangle_files, tmp_path):
+        gp, mp = triangle_files
+        out = tmp_path / "c.json"
+        assert main(["couple", "--model", str(mp), "--graph", str(gp),
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["wall_s"] >= 0.0
+        assert doc["meta"]["steps_per_s"] > 0
+        assert not {"wall_s", "steps_per_s"} & set(doc["payload"])
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_small_q_starts(self, tmp_path, q):
+        # index-order greedy runs out of colors on this graph at q = 3, 4;
+        # the smallest-last pair starts wherever q exceeds the degeneracy
+        gp = tmp_path / "g.edges"
+        assert main(["gen", "--n", "5000", "--d", "2", "--seed", "1",
+                     "--out", str(gp)]) == 0
+        with pytest.raises(gl.PaletteExhaustedError):
+            gl.greedy_coloring(gl.read_edge_list(gp), q)
+        mp = tmp_path / "c.json"
+        gl.write_model(gl.coloring_model(q), mp)
+        out = tmp_path / "c.out"
+        code = main(["couple", "--model", str(mp), "--graph", str(gp),
+                     "--horizon", "1000", "--out", str(out)])
+        assert code in (0, 2)
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["initial_hamming"] > 0
 
     @pytest.mark.parametrize("horizon", ["0", "-3"])
     def test_bad_horizon_is_invalid(self, triangle_files, tmp_path,

@@ -3,6 +3,7 @@ import math
 import pytest
 
 import glauberlab as gl
+from glauberlab.cli import _scaling_start_pair
 
 
 def triangle():
@@ -161,15 +162,26 @@ class TestCoalescence:
                                 (0, 1, 2), (1, 2, 0), 500, seed=1)
         assert t is None
 
-    def test_coupled_step_keeps_equal_states_equal(self):
-        m, g = gl.coloring_model(4), triangle()
-        rng = gl.make_rng(5, "pair")
-        left = list((0, 1, 2))
-        right = list((0, 1, 2))
-        for _ in range(50):
-            gl.coupled_step(m, g, left, right, rng)
-            assert left == right
-            assert gl.is_feasible(m, g, left)
+    # Recorded before the coupled loop kept the off[] counts and the
+    # colorings coupled from their taken sets: (lazy, non-lazy) steps on
+    # G(1500, 2/1500) from the scaling start pair, graph and chain seed s.
+    @pytest.mark.parametrize("model, s, want", [
+        (gl.coloring_model(8), 1, (35699, 20064)),
+        (gl.coloring_model(8), 2, (45396, 22861)),
+        (gl.coloring_model(8), 3, (33336, 20975)),
+        (gl.coloring_model(12), 1, (35699, 12589)),
+        (gl.coloring_model(12), 2, (23412, 16380)),
+        (gl.coloring_model(12), 3, (32356, 12138)),
+        (gl.hardcore_model(1.0), 1, (213816, 80807)),
+        (gl.hardcore_model(1.0), 2, (314230, 112610)),
+        (gl.hardcore_model(1.0), 3, (174706, 102342)),
+    ])
+    def test_pinned_times_on_sparse_graphs(self, model, s, want):
+        g = gl.generate_er(1500, 2.0, s)
+        a, b = _scaling_start_pair(model, g)
+        got = tuple(gl.coalescence_time(model, g, a, b, 10 ** 7, seed=s,
+                                        lazy=lazy) for lazy in (True, False))
+        assert got == want
 
 
 class TestContractionProbe:

@@ -8,6 +8,7 @@ every chain built on the kernel replays the generic chain draw for draw.
 import hashlib
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -135,3 +136,98 @@ def test_q20_trajectory_pinned():
     assert len(trace) == 41
     assert trace[-3:] == [(38000, 376, 370), (39000, 376, 372),
                           (40000, 383, 382)]
+
+
+def coupling_uniforms(p, q, rng):
+    """0, 1 - 2**-53, one random uniform, and the uniforms at which the
+    generic coupling's cumulative walk switches entry (each partial sum
+    over the total, and the floats just either side)."""
+    entries = gl.maximal_coupling_entries(p, q)
+    total = sum(m for _, _, m in entries)
+    out = [0.0, 1.0 - 2.0 ** -53, rng.random()]
+    acc = 0.0
+    for _, _, m in entries:
+        acc += m
+        u = acc / total
+        out += [u, math.nextafter(u, 0.0), math.nextafter(u, 1.0)]
+    return [u for u in out if 0.0 <= u < 1.0]
+
+
+def star_pair(tl, tr, own=(0, 0)):
+    """A star whose center v sees the taken sets tl and tr in two
+    configurations; v holds ``own`` in them."""
+    tl, tr = sorted(tl), sorted(tr)
+    leaves = max(len(tl), len(tr))
+    v = leaves
+    g = gl.Graph(leaves + 1, [(i, v) for i in range(leaves)])
+    left = [tl[i % len(tl)] for i in range(leaves)] + [own[0]]
+    right = [tr[i % len(tr)] for i in range(leaves)] + [own[1]]
+    return g, v, left, right
+
+
+def taken_pairs(q, rng, count):
+    """Random taken-set pairs, each with a free color on both sides: about
+    half are independent subsets, half differ by one recolored, added or
+    removed color, as next to a single disagreeing neighbor."""
+    for _ in range(count):
+        tl = set(rng.sample(range(q), rng.randrange(1, q)))
+        if rng.random() < 0.5:
+            tr = set(rng.sample(range(q), rng.randrange(1, q)))
+        else:
+            tr = set(tl)
+            free = [c for c in range(q) if c not in tl]
+            move = rng.randrange(3)
+            if move != 1 and len(tr) > 1:
+                tr.discard(rng.choice(sorted(tr)))
+            if move != 0 and len(tr) < q - 1:
+                tr.add(rng.choice([c for c in free if c not in tr]))
+        yield tl, tr
+
+
+class TestColoringCouple:
+    """``HeatBath.couple`` reads the maximal coupling of two colorings'
+    uniform conditionals off the taken sets; it must give the pair that
+    ``sample_maximal_coupling`` gives on the two pmfs, uniform for
+    uniform."""
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 20, 31])
+    def test_matches_generic_coupling(self, q):
+        rng = random.Random(q)
+        cases = 0
+        for tl, tr in taken_pairs(q, rng, 600):
+            g, v, left, right = star_pair(tl, tr)
+            kernel = gl.HeatBath(gl.coloring_model(q), g)
+            p, r = kernel.pmf(left, v), kernel.pmf(right, v)
+            for u in coupling_uniforms(p, r, rng):
+                assert kernel.couple(left, right, v, u) == \
+                    gl.sample_maximal_coupling(p, r, u), (tl, tr, u)
+                cases += 1
+        assert cases >= 3000
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 20, 31])
+    def test_identical_neighborhoods_share_the_draw(self, q):
+        # v itself may disagree: only its neighbors' colors enter
+        rng = random.Random(q)
+        for _ in range(300):
+            tl = set(rng.sample(range(q), rng.randrange(1, q)))
+            own = (rng.randrange(q), rng.randrange(q))
+            g, v, left, right = star_pair(tl, tl, own)
+            kernel = gl.HeatBath(gl.coloring_model(q), g)
+            for u in (0.0, 1.0 - 2.0 ** -53, rng.random()):
+                x = kernel.draw(left, v, u)
+                assert kernel.couple(left, right, v, u) == (x, x)
+
+    @pytest.mark.parametrize("q", [2, 3, 7])
+    def test_exhausted_palette_raises_naming_v(self, q):
+        full, some = set(range(q)), {0}
+        for tl, tr in ((full, some), (some, full), (full, full)):
+            g, v, left, right = star_pair(tl, tr)
+            kernel = gl.HeatBath(gl.coloring_model(q), g)
+            # the left side is checked first, as pmf(left) is generically
+            side = left if tl == full else right
+            with pytest.raises(gl.NoFeasibleStateError) as want:
+                kernel.pmf(side, v)
+            with pytest.raises(gl.NoFeasibleStateError) as got:
+                kernel.couple(left, right, v, 0.5)
+            assert str(got.value) == str(want.value)
+            assert f"vertex {v} " in str(got.value)
