@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import CHOICES, DEFAULTS, _check_log_base
 from .errors import (BudgetExceededError, NonUniqueAttachmentError,
                      SkeletonBoundError)
-from .graphs import (DEFAULT_NODE_BUDGET, Graph, _check_log_base,
-                     alpha_weights_all, bfs_distances, boundaries,
+from .graphs import (Graph, alpha_weights_all, bfs_distances, boundaries,
                      induced_components, induced_excess, log_radius)
 from .records import CheckRecord, Report
 
@@ -276,8 +276,9 @@ def _rule_cap(g, L, log_base):
     return 5.0 * L * _log_n(g.n, log_base)
 
 
-def build_skeleton(g, labeling, L, t, log_base=math.e, scan_order="low",
-                   node_budget=DEFAULT_NODE_BUDGET):
+def build_skeleton(g, labeling, L, t, log_base=DEFAULTS["log_base"],
+                   scan_order=DEFAULTS["scan_order"],
+                   node_budget=DEFAULTS["node_budget"]):
     """Grow the skeleton W from empty to a fixed point of the three rules.
 
     (i) a cycle of m vertices in V-W, 3 <= m < 5L log n; (ii) a path of m
@@ -293,7 +294,7 @@ def build_skeleton(g, labeling, L, t, log_base=math.e, scan_order="low",
     never consult goodness (only the termination guarantee does).
     """
     del labeling
-    if scan_order not in ("low", "high"):
+    if scan_order not in CHOICES["scan_order"]:
         raise ValueError(f"unknown scan order {scan_order!r}")
     cap = _rule_cap(g, L, log_base)
     size_cap = 20.0 * t * L * _log_n(g.n, log_base)
@@ -318,9 +319,10 @@ def build_skeleton(g, labeling, L, t, log_base=math.e, scan_order="low",
 
 def has_applicable_rule(g, W, L):
     """Name of the first rule that can still fire, or None at a fixed point
-    (natural logs, default node budget)."""
-    found = _first_rule(g, _Skeleton(g, W), _rule_cap(g, L, math.e),
-                        _SearchBudget(DEFAULT_NODE_BUDGET), False)
+    (default log base and node budget)."""
+    found = _first_rule(g, _Skeleton(g, W),
+                        _rule_cap(g, L, DEFAULTS["log_base"]),
+                        _SearchBudget(DEFAULTS["node_budget"]), False)
     return found[0] if found else None
 
 
@@ -373,7 +375,8 @@ def _extract_pieces(g, block_vertices, wset, block_tag):
     return tuple(pieces)
 
 
-def build_blocks(g, labeling, skeleton, L, t=None, log_base=math.e):
+def build_blocks(g, labeling, skeleton, L, t=None,
+                 log_base=DEFAULTS["log_base"]):
     """Assemble the final partition around the skeleton components.
 
     A unit (extended class) joins skeleton component W_j when one of its
@@ -582,8 +585,9 @@ def validate_partition(g, partition):
     return report
 
 
-def decompose(g, hp, L=None, log_base=math.e, scan_order="low",
-              node_budget=DEFAULT_NODE_BUDGET, phi=None):
+def decompose(g, hp, L=None, log_base=DEFAULTS["log_base"],
+              scan_order=DEFAULTS["scan_order"],
+              node_budget=DEFAULTS["node_budget"], phi=None):
     """classify -> bad_classes -> build_skeleton -> build_blocks.
 
     phi lets a caller reuse per-vertex weights already computed by the

@@ -19,7 +19,7 @@ import time
 from datetime import datetime, timezone
 
 from .blocks import decompose, validate_partition, write_partition
-from .defaults import CHOICES, load_config
+from .defaults import CHOICES, _check_count, _check_log_base, load_config
 from .dynamics import (coalescence_time, run_chain, write_checkpoint)
 from .errors import (BudgetExceededError, DegenerateChainError,
                      HorizonExceededError, PaletteExhaustedError)
@@ -99,14 +99,6 @@ def _records_json(records):
     return [r.to_json_dict() for r in records]
 
 
-def _positive(flag, cfg, key, name):
-    """The flag's value, or the config's when the flag is not given."""
-    value = flag if flag is not None else cfg[key]
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-    return value
-
-
 def cmd_gen(args, cfg):
     if not args.out:
         raise ValueError("gen writes an edge list; --out is required")
@@ -120,8 +112,7 @@ def cmd_check(args, cfg):
     g = read_edge_list(args.graph)
     hp = HypothesisParams(a=args.a, alpha=args.alpha, t=args.t,
                           delta=args.delta)
-    budget = _positive(args.budget, cfg, "node_budget", "budget")
-    rep = check_hypothesis(g, hp, node_budget=budget,
+    rep = check_hypothesis(g, hp, node_budget=args.node_budget,
                            log_base=args.log_base)
     payload = {
         "passed": rep.passed,
@@ -139,10 +130,10 @@ def cmd_decompose(args, cfg):
     g = read_edge_list(args.graph)
     hp = HypothesisParams(a=args.a, alpha=args.alpha, t=args.t,
                           delta=args.delta)
-    budget = _positive(args.budget, cfg, "node_budget", "budget")
     partition = decompose(g, hp, L=args.length_scale,
                           log_base=args.log_base,
-                          scan_order=args.scan_order, node_budget=budget)
+                          scan_order=args.scan_order,
+                          node_budget=args.node_budget)
     report = validate_partition(g, partition)
     if args.partition_out:
         write_partition(partition, args.partition_out)
@@ -186,9 +177,7 @@ def cmd_sample(args, cfg):
 def cmd_exact(args, cfg):
     model = read_model(args.model)
     g = read_edge_list(args.graph)
-    budget = _positive(args.budget, cfg, "state_budget", "budget")
-    horizon = _positive(None, cfg, "mixing_horizon", "mixing horizon")
-    chain = enumerate_states(model, g, budget=budget)
+    chain = enumerate_states(model, g, budget=args.state_budget)
     if not chain.states:
         payload = {"states": 0, "note": "no feasible configuration"}
         return _emit(args, "exact", payload, code=EXIT_FAIL)
@@ -202,7 +191,7 @@ def cmd_exact(args, cfg):
     code = EXIT_PASS
     try:
         tau = relaxation_time(chain)
-        tmix = mixing_time(chain, horizon=horizon)
+        tmix = mixing_time(chain, horizon=cfg["mixing_horizon"])
         recs = sandwich_check(chain, instance=f"{args.model}:{args.graph}",
                               tau=tau, tmix=tmix)
         payload.update({"relaxation": tau, "mixing": tmix,
@@ -227,13 +216,9 @@ _SUITE_KNOBS = {
 
 def cmd_verify(args, cfg):
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    budget = _positive(args.budget, cfg, "state_budget", "budget")
-    values = {"state_budget": budget,
-              "horizon": _positive(None, cfg, "mixing_horizon",
-                                   "mixing horizon"),
-              "boundary_samples": _positive(None, cfg,
-                                            "decay_boundary_samples",
-                                            "decay boundary samples")}
+    values = {"state_budget": args.state_budget,
+              "horizon": cfg["mixing_horizon"],
+              "boundary_samples": cfg["decay_boundary_samples"]}
     records = []
     counts = {"passed": 0, "failed": 0, "skipped": 0}
     for name in names:
@@ -256,13 +241,16 @@ def cmd_verify(args, cfg):
 
 def _scaling_start_pair(model, g):
     """Adversarial start pair: two greedy solutions from opposite vertex
-    orders (colorings), or empty versus greedily packed (hardcore).
+    orders (colorings), empty versus greedily packed (hardcore), or all 0
+    versus all q-1 (soft models, whose finite g makes both feasible).
 
     Where index order runs out of colors, the colorings are the
     smallest-last first-fit coloring and its color reversal c -> q-1-c,
     proper whenever the first exists.
     """
     n = g.n
+    if model.kind == "soft":
+        return (0,) * n, (model.q - 1,) * n
     if model.kind == "coloring":
         try:
             fwd = greedy_coloring(g, model.q)
@@ -294,9 +282,7 @@ def cmd_scaling(args, cfg):
     elif args.q is not None:
         raise ValueError("--q (colourings) and --beta (hardcore) exclude "
                          "each other")
-    if min(args.seeds, args.workers) < 1:
-        raise ValueError("--seeds and --workers must be at least 1")
-    horizon = _positive(args.horizon, cfg, "chain_horizon", "horizon")
+    horizon = args.chain_horizon
     cells = []
     for n in args.sizes:
         for i in range(args.seeds):
@@ -350,7 +336,7 @@ def cmd_scaling(args, cfg):
 def cmd_couple(args, cfg):
     model = read_model(args.model)
     g = read_edge_list(args.graph)
-    horizon = _positive(args.horizon, cfg, "chain_horizon", "horizon")
+    horizon = args.chain_horizon
     a, b = _scaling_start_pair(model, g)
     hamming = sum(1 for x, y in zip(a, b) if x != y)
     t0 = time.perf_counter()
@@ -366,101 +352,120 @@ def cmd_couple(args, cfg):
                  code=EXIT_PASS if steps is not None else EXIT_BUDGET)
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="base seed (default from config)")
-    common.add_argument("--budget", type=int, default=None,
-                        help="search/state budget override")
-    common.add_argument("--log-base", type=float, default=None,
-                        dest="log_base",
-                        help="base of logarithms in length scales")
-    common.add_argument("--out", default=None, help="output path")
-    common.add_argument("--format", choices=CHOICES["format"], default=None)
-    common.add_argument("--config", default=None,
-                        help="JSON config file overriding defaults")
+def _checked(convert, check):
+    """An argparse type: convert the text, then check the value."""
+    def parse(text):
+        try:
+            value = convert(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
 
+
+_COUNT = _checked(int, _check_count)
+
+# The flags several commands share, by dest.  Every dest that is also a
+# config key falls back to the config's value when its flag is not given.
+_SHARED = {
+    "seed": ("--seed", dict(type=int, help="base seed")),
+    "node_budget": ("--budget", dict(type=_COUNT, help="DFS node budget")),
+    "state_budget": ("--budget", dict(type=_COUNT, help="state budget")),
+    "log_base": ("--log-base", dict(type=_checked(float, _check_log_base),
+                                    help="base of logs in length scales")),
+    "out": ("--out", dict(help="output path")),
+    "format": ("--format", dict(choices=CHOICES["format"])),
+    "config": ("--config", dict(help="JSON config overriding defaults")),
+    "chain_horizon": ("--horizon", dict(type=_COUNT,
+                                        help="step cap of coupled runs")),
+}
+
+
+def _command(sub, name, func, shared, help):
+    """A subparser taking the listed shared flags."""
+    sp = sub.add_parser(name, help=help)
+    for dest in shared:
+        flag, kwargs = _SHARED[dest]
+        sp.add_argument(flag, dest=dest, **kwargs)
+    sp.set_defaults(func=func)
+    return sp
+
+
+def _hypothesis_args(sp):
+    sp.add_argument("graph")
+    for flag, kind in (("--a", float), ("--alpha", float), ("--t", int),
+                       ("--delta", float)):
+        sp.add_argument(flag, type=kind, required=True)
+
+
+def build_parser():
     p = argparse.ArgumentParser(
         prog="glauberlab",
         description="Spin-system Gibbs sampling toolkit: generation, "
                     "hypothesis checking, decomposition, sampling, and "
                     "exact verification.")
     sub = p.add_subparsers(dest="command", required=True)
+    hypothesis = ("node_budget", "log_base", "out", "format", "config")
+    chain = ("seed", "out", "format", "config")
+    exact = ("state_budget", "out", "format", "config")
 
-    sp = sub.add_parser("gen", parents=[common],
-                        help="generate a sparse random graph")
+    sp = _command(sub, "gen", cmd_gen, ("seed", "out", "config"),
+                  "generate a sparse random graph")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=float, required=True,
                     help="target average degree (p = d/n)")
-    sp.set_defaults(func=cmd_gen)
 
-    sp = sub.add_parser("check", parents=[common],
-                        help="check the structural hypothesis")
-    sp.add_argument("graph")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--delta", type=float, required=True)
-    sp.set_defaults(func=cmd_check)
+    sp = _command(sub, "check", cmd_check, hypothesis,
+                  "check the structural hypothesis")
+    _hypothesis_args(sp)
 
-    sp = sub.add_parser("decompose", parents=[common],
-                        help="build and validate a block partition")
-    sp.add_argument("graph")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--delta", type=float, required=True)
+    sp = _command(sub, "decompose", cmd_decompose, hypothesis,
+                  "build and validate a block partition")
+    _hypothesis_args(sp)
     sp.add_argument("--length-scale", type=float, default=None,
                     dest="length_scale", help="override the block scale L")
     sp.add_argument("--scan-order", choices=CHOICES["scan_order"],
                     default=None, dest="scan_order")
     sp.add_argument("--partition-out", default=None, dest="partition_out",
                     help="write the partition JSON here")
-    sp.set_defaults(func=cmd_decompose)
 
-    sp = sub.add_parser("sample", parents=[common],
-                        help="run the single-site sampler")
+    sp = _command(sub, "sample", cmd_sample, chain,
+                  "run the single-site sampler")
     sp.add_argument("--model", required=True)
     sp.add_argument("--graph", required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--stride", type=int, default=None)
     sp.add_argument("--no-lazy", action="store_true", dest="no_lazy")
-    sp.set_defaults(func=cmd_sample)
 
-    sp = sub.add_parser("exact", parents=[common],
-                        help="enumerate a chain and report exact times")
+    sp = _command(sub, "exact", cmd_exact, exact,
+                  "enumerate a chain and report exact times")
     sp.add_argument("--model", required=True)
     sp.add_argument("--graph", required=True)
     sp.add_argument("--no-lazy", action="store_true", dest="no_lazy")
     sp.add_argument("--dump", default=None,
                     help="write the full chain (states, pi, P) here")
-    sp.set_defaults(func=cmd_exact)
 
-    sp = sub.add_parser("verify", parents=[common],
-                        help="run exact verification suites on the zoo")
+    sp = _command(sub, "verify", cmd_verify, exact,
+                  "run exact verification suites on the zoo")
     sp.add_argument("--suite", default="all",
                     choices=["all"] + sorted(SUITES))
-    sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("scaling", parents=[common],
-                        help="coalescence-time scaling table")
+    sp = _command(sub, "scaling", cmd_scaling, chain + ("chain_horizon",),
+                  "coalescence-time scaling table")
     sp.add_argument("--d", type=float, required=True)
     sp.add_argument("--q", type=int, default=None)
     sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--sizes", type=int, nargs="+", required=True)
-    sp.add_argument("--seeds", type=int, default=5,
+    sp.add_argument("--seeds", type=_COUNT, default=5,
                     help="seeds per size")
-    sp.add_argument("--horizon", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.set_defaults(func=cmd_scaling)
+    sp.add_argument("--workers", type=_COUNT, default=1)
 
-    sp = sub.add_parser("couple", parents=[common],
-                        help="run one coupled pair to coalescence")
+    sp = _command(sub, "couple", cmd_couple, chain + ("chain_horizon",),
+                  "run one coupled pair to coalescence")
     sp.add_argument("--model", required=True)
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--horizon", type=int, default=None)
     sp.add_argument("--no-lazy", action="store_true", dest="no_lazy")
-    sp.set_defaults(func=cmd_couple)
     return p
 
 
@@ -473,14 +478,10 @@ def main(argv=None):
         return 0 if exc.code == 0 else EXIT_INVALID
     try:
         cfg = load_config(args.config)
-        if args.seed is None:
-            args.seed = cfg["seed"]
-        if args.log_base is None:
-            args.log_base = cfg["log_base"]
-        if args.format is None:
-            args.format = cfg["format"]
-        if getattr(args, "scan_order", "") is None:
-            args.scan_order = cfg["scan_order"]
+        # an unset flag whose dest is a config key takes the config value
+        for key, value in cfg.items():
+            if getattr(args, key, 0) is None:
+                setattr(args, key, value)
         return args.func(args, cfg)
     except (BudgetExceededError, HorizonExceededError) as exc:
         print(f"{args.command}: budget exhausted: {exc}", file=sys.stderr)

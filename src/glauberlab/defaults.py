@@ -2,9 +2,9 @@
 
 Flags override config values, which override these defaults.  The config
 file is a flat JSON object using exactly the keys below, each of its
-default's type, and the keys in CHOICES one of their listed values;
-unknown keys are rejected so typos surface instead of silently falling
-back.
+default's type, the keys in CHOICES one of their listed values, the
+counts at least 1 and the log base finite and above 1; unknown keys are
+rejected so typos surface instead of silently falling back.
 """
 
 import json
@@ -35,6 +35,21 @@ DEFAULTS = {
 # The values a string key may take; the CLI flags offer the same.
 CHOICES = {"scan_order": ("low", "high"), "format": ("json", "csv")}
 
+# The keys that count something; none of them may be below 1.
+_COUNTS = ("node_budget", "state_budget", "mixing_horizon", "chain_horizon",
+           "decay_boundary_samples")
+
+
+def _check_count(value, name="value"):
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _check_log_base(base):
+    # NaN fails both comparisons, so it is rejected too.
+    if not 1.0 < base < math.inf:
+        raise ValueError("log base must exceed 1 and be finite")
+
 
 def load_config(path=None):
     """DEFAULTS merged with the JSON object at path (if given)."""
@@ -57,5 +72,9 @@ def load_config(path=None):
         if key in CHOICES and value not in CHOICES[key]:
             raise ValueError(f"config key {key} must be one of "
                              f"{', '.join(CHOICES[key])}, got {value!r}")
+        if key in _COUNTS:
+            _check_count(value, f"config key {key}")
+        if key == "log_base":
+            _check_log_base(value)
     cfg.update(data)
     return cfg

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .defaults import DEFAULTS
 from .errors import (BoundaryInfeasibleError, BudgetExceededError,
                      CheegerHypothesisError, DegenerateChainError,
                      HorizonExceededError)
@@ -21,8 +22,6 @@ from .records import BoundRecord
 from .rng import make_rng, sample_index
 from .trees import batched_root_marginals, build_tree_tables, tree_law
 
-DEFAULT_STATE_BUDGET = 200_000
-DEFAULT_MIXING_HORIZON = 10 ** 6
 TV_TARGET = 1.0 / (2.0 * math.e)
 EIG_TOLERANCE = 1e-10
 
@@ -37,7 +36,6 @@ class ExactChain:
     logw: list
     pi: np.ndarray
     P: np.ndarray = None
-    lazy: bool = None
     _index: dict = field(default=None, repr=False)
 
     def index(self, state):
@@ -46,7 +44,7 @@ class ExactChain:
         return self._index[state]
 
 
-def enumerate_states(model, graph, budget=DEFAULT_STATE_BUDGET,
+def enumerate_states(model, graph, budget=DEFAULTS["state_budget"],
                      vertices=None, boundary=None):
     """All feasible configurations on ``vertices`` with their Gibbs law.
 
@@ -178,7 +176,6 @@ def transition_matrix(chain, lazy=True):
         P *= 0.5
         P[np.diag_indices_from(P)] += 0.5
     chain.P = P
-    chain.lazy = lazy
     return chain
 
 
@@ -246,7 +243,7 @@ def _worst_tv(mat, pi):
     return float(0.5 * np.abs(mat - pi[None, :]).sum(axis=1).max())
 
 
-def mixing_time(chain, horizon=DEFAULT_MIXING_HORIZON):
+def mixing_time(chain, horizon=DEFAULTS["mixing_horizon"]):
     """Smallest t with worst-start TV(P^t, pi) <= TV_TARGET = 1/(2e).
 
     Worst-start TV is non-increasing in t, so doubling up then binary
@@ -289,7 +286,7 @@ def mixing_time(chain, horizon=DEFAULT_MIXING_HORIZON):
     return hi
 
 
-def sandwich_check(chain, instance="", horizon=DEFAULT_MIXING_HORIZON,
+def sandwich_check(chain, instance="", horizon=DEFAULTS["mixing_horizon"],
                    tau=None, tmix=None):
     """tau <= tau_mix and tau_mix <= tau*(1 + 0.5*ln(1/min pi)).
 
@@ -316,42 +313,30 @@ def sandwich_check(chain, instance="", horizon=DEFAULT_MIXING_HORIZON,
 class CheegerBound:
     bound: float
     epsilon: float
-    complete: bool
-    reading: str
 
 
 def _cheeger_from_epsilon(eps):
     return 2.0 / (eps * eps)
 
 
-def cheeger_bound(chain, require_complete=True):
+def cheeger_bound(chain):
     """tau_mix <= 2/eps^2 with eps the smallest edge measure pi(a)P(a,b).
 
     The hypothesis wants every state pair joined in one step; single-site
     chains on more than one vertex never satisfy it, which surfaces as
-    CheegerHypothesisError.  require_complete=False applies the other
-    reading of the hypothesis (minimum over nonzero pairs only) and labels
-    the result accordingly.
+    CheegerHypothesisError.
     """
     if chain.P is None:
         raise ValueError("transition matrix not built")
     S = len(chain.states)
     if S < 2:
         raise CheegerHypothesisError("no state pairs to bound")
-    flow = chain.pi[:, None] * chain.P
-    off = ~np.eye(S, dtype=bool)
-    complete = bool((flow[off] > 0.0).all())
-    if require_complete and not complete:
+    vals = (chain.pi[:, None] * chain.P)[~np.eye(S, dtype=bool)]
+    if not (vals > 0.0).all():
         raise CheegerHypothesisError(
             "hypothesis not met: some state pair has no direct transition")
-    vals = flow[off]
-    vals = vals[vals > 0.0]
-    if vals.size == 0:
-        raise CheegerHypothesisError("chain never leaves its state")
     eps = float(vals.min())
-    return CheegerBound(bound=_cheeger_from_epsilon(eps), epsilon=eps,
-                        complete=complete,
-                        reading="all-pairs" if complete else "nonzero-pairs")
+    return CheegerBound(bound=_cheeger_from_epsilon(eps), epsilon=eps)
 
 
 @dataclass(frozen=True)
@@ -362,7 +347,7 @@ class CanonicalBound:
 
 
 def canonical_path_bound(model, graph, lazy=True,
-                         budget=DEFAULT_STATE_BUDGET):
+                         budget=DEFAULTS["state_budget"]):
     """tau <= L*rho via the zero-out/raise canonical paths.
 
     Hardcore only: the path from sigma to eta clears sigma's occupied
@@ -456,7 +441,8 @@ class DecayCheck:
     exhaustive: bool
 
 
-def tree_decay_check(model, graph, tree, v, lam, boundary_samples=1000,
+def tree_decay_check(model, graph, tree, v, lam,
+                     boundary_samples=DEFAULTS["decay_boundary_samples"],
                      seed=0):
     """Worst-case boundary influence at v against the psi_lambda bound.
 
@@ -692,7 +678,7 @@ def _boundary_assignments(model, graph, block_vertices, state_budget):
 
 
 def block_composition_check(model, graph, partition, instance="",
-                            state_budget=DEFAULT_STATE_BUDGET):
+                            state_budget=DEFAULTS["state_budget"]):
     """Verify tau <= tau_block * max_i tau_i (disjoint blocks, so the
     multiplicity factor is 1).
 
@@ -709,7 +695,7 @@ def block_composition_check(model, graph, partition, instance="",
     pos = {v: i for i, v in enumerate(chain.vertices)}
     groups = [sorted(pos[v] for v in block.vertices)
               for block in partition.blocks]
-    bchain = replace(chain, P=_resample_kernel(chain, groups), lazy=False)
+    bchain = replace(chain, P=_resample_kernel(chain, groups))
     tau_block = relaxation_time(bchain)
 
     taus = []

@@ -11,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULTS, _check_log_base
 from .errors import BudgetExceededError
 from .records import CheckRecord, Report
 from .rng import make_rng
-
-DEFAULT_NODE_BUDGET = 10 ** 8
 
 # BFS sources swept at once: four 64-bit words of source bits per vertex,
 # and a (256, n) float64 block of distance rows.
@@ -287,7 +286,7 @@ class MaxPathWeight:
     path: tuple
 
 
-def max_path_alpha_weight(g, alpha, l, node_budget=DEFAULT_NODE_BUDGET,
+def max_path_alpha_weight(g, alpha, l, node_budget=DEFAULTS["node_budget"],
                           phi=None):
     """Exact max over self-avoiding paths of at most ``l`` edges of the sum
     of phi_alpha over the path's vertices.
@@ -352,12 +351,11 @@ class Boundaries:
     exterior: tuple
 
 
-def boundaries(g, subset, relative_to=None):
+def boundaries(g, subset):
     """Interior and exterior boundary of a vertex set.
 
     interior = members with a neighbor outside; exterior = non-members with
-    a neighbor inside.  With ``relative_to`` (a superset W of the subset)
-    the exterior is restricted to vertices outside W.
+    a neighbor inside.
     """
     sset = set(subset)
     for u in sset:
@@ -373,11 +371,6 @@ def boundaries(g, subset, relative_to=None):
                 if inside:
                     interior.append(u)
                     inside = False
-    if relative_to is not None:
-        wset = set(relative_to)
-        if not sset <= wset:
-            raise ValueError("relative_to must contain the subset")
-        exterior = {u for u in exterior if u not in wset}
     return Boundaries(tuple(interior), tuple(sorted(exterior)))
 
 
@@ -403,13 +396,7 @@ class HypothesisParams:
             raise ValueError("delta must be positive")
 
 
-def _check_log_base(base):
-    # NaN fails both comparisons, so it is rejected too.
-    if not 1.0 < base < math.inf:
-        raise ValueError("log base must exceed 1 and be finite")
-
-
-def log_radius(coef, n, base=math.e):
+def log_radius(coef, n, base=DEFAULTS["log_base"]):
     """ceil(coef * log_base(n)) as an integer radius; n <= 1 gives 0."""
     _check_log_base(base)
     if n <= 1:
@@ -434,8 +421,8 @@ class HypothesisReport:
         return self.report.records
 
 
-def check_hypothesis(g, params, node_budget=DEFAULT_NODE_BUDGET,
-                     log_base=math.e):
+def check_hypothesis(g, params, node_budget=DEFAULTS["node_budget"],
+                     log_base=DEFAULTS["log_base"]):
     """Check the two structural clauses on every vertex.
 
     Clause 1: tree excess of B(v, ceil(a*log n)) at most t, for all v.

@@ -12,9 +12,9 @@ import math
 import numpy as np
 
 from .blocks import Block, BlockPartition, Piece
+from .defaults import DEFAULTS
 from .errors import BudgetExceededError, CheegerHypothesisError
-from .exact import (DEFAULT_MIXING_HORIZON, DEFAULT_STATE_BUDGET,
-                    block_composition_check, canonical_path_bound,
+from .exact import (block_composition_check, canonical_path_bound,
                     cheeger_bound, coloring_q_threshold, compose_block_law,
                     enumerate_states, hardcore_activity_threshold,
                     is_irreducible, law_tv, mixing_time, relaxation_time,
@@ -374,8 +374,8 @@ def _zoo_chains(state_budget):
             yield instance, chain
 
 
-def suite_sandwich(state_budget=DEFAULT_STATE_BUDGET,
-                   horizon=DEFAULT_MIXING_HORIZON):
+def suite_sandwich(state_budget=DEFAULTS["state_budget"],
+                   horizon=DEFAULTS["mixing_horizon"]):
     report = Report()
     for instance, chain in _zoo_chains(state_budget):
         if isinstance(chain, str):
@@ -386,8 +386,8 @@ def suite_sandwich(state_budget=DEFAULT_STATE_BUDGET,
     return report
 
 
-def suite_cheeger(state_budget=DEFAULT_STATE_BUDGET,
-                  horizon=DEFAULT_MIXING_HORIZON):
+def suite_cheeger(state_budget=DEFAULTS["state_budget"],
+                  horizon=DEFAULTS["mixing_horizon"]):
     tol = 1e-9
     report = Report()
     for instance, chain in _zoo_chains(state_budget):
@@ -408,7 +408,7 @@ def suite_cheeger(state_budget=DEFAULT_STATE_BUDGET,
     return report
 
 
-def suite_canonical(state_budget=DEFAULT_STATE_BUDGET):
+def suite_canonical(state_budget=DEFAULTS["state_budget"]):
     tol = 1e-9
     report = Report()
     for mname, model in model_grid():
@@ -456,7 +456,7 @@ def decay_panel(lam=0.25):
     ]
 
 
-def suite_decay(boundary_samples=200):
+def suite_decay(boundary_samples=DEFAULTS["decay_boundary_samples"]):
     lam = 0.25
     report = Report()
     for mname, model in decay_panel(lam):
@@ -497,7 +497,7 @@ def suite_skeleton_joint():
     return report
 
 
-def suite_block_composition(state_budget=DEFAULT_STATE_BUDGET):
+def suite_block_composition(state_budget=DEFAULTS["state_budget"]):
     report = Report()
     for name, model, graph, partition in partitioned_cases():
         record, _ = block_composition_check(model, graph, partition,

@@ -710,3 +710,121 @@ class TestConfigCounts:
         assert main(["verify", "--suite", "decay", "--config", str(cfg),
                      "--out", str(out)]) == 3
         assert not out.exists()
+
+
+def _base_args(command, triangle_files):
+    """A command line that runs; every dropped flag is added to it."""
+    gp, mp = triangle_files
+    params = ["--a", "0.2", "--alpha", "0.25", "--t", "1", "--delta", "1.6"]
+    chain = ["--model", str(mp), "--graph", str(gp)]
+    return {"gen": ["gen", "--n", "10", "--d", "1.0"],
+            "check": ["check", str(gp)] + params,
+            "decompose": ["decompose", str(gp)] + params,
+            "sample": ["sample"] + chain + ["--steps", "10"],
+            "scaling": ["scaling", "--d", "1.0", "--sizes", "20",
+                        "--seeds", "1"],
+            "couple": ["couple"] + chain,
+            "exact": ["exact"] + chain,
+            "verify": ["verify", "--suite", "skeleton-joint"]}[command]
+
+
+class TestUnreadFlags:
+    # Each command takes only the shared flags it reads; the rest are
+    # invalid input, even with a value that would be valid elsewhere.
+    @pytest.mark.parametrize("command, flag", [
+        ("gen", ["--budget", "100"]),
+        ("gen", ["--log-base", "2"]),
+        ("gen", ["--format", "json"]),
+        ("check", ["--seed", "1"]),
+        ("decompose", ["--seed", "1"]),
+        ("sample", ["--budget", "100"]),
+        ("sample", ["--log-base", "2"]),
+        ("scaling", ["--budget", "100"]),
+        ("scaling", ["--log-base", "2"]),
+        ("couple", ["--budget", "100"]),
+        ("couple", ["--log-base", "2"]),
+        ("exact", ["--seed", "1"]),
+        ("exact", ["--log-base", "2"]),
+        ("verify", ["--seed", "1"]),
+        ("verify", ["--log-base", "2"])])
+    def test_flag_is_invalid(self, triangle_files, tmp_path, command, flag):
+        args = _base_args(command, triangle_files)
+        out = tmp_path / "o.out"
+        assert main(args + ["--out", str(out)]) == 0
+        out.unlink()
+        assert main(args + flag + ["--out", str(out)]) == 3
+        assert not out.exists()
+
+
+class TestConfigChecksEveryCommand:
+    # load_config checks every key it loads, whether or not the command
+    # reads it
+    @pytest.mark.parametrize("data", [
+        {"log_base": float("inf")},
+        {"log_base": 1},
+        {"decay_boundary_samples": 0},
+        {"decay_boundary_samples": 0, "node_budget": -3},
+        {"chain_horizon": 0}])
+    def test_sample_rejects_bad_values(self, triangle_files, tmp_path,
+                                       data):
+        gp, mp = triangle_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        assert main(["sample", "--model", str(mp), "--graph", str(gp),
+                     "--steps", "10", "--config", str(cfg),
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["node_budget", "state_budget",
+                                     "mixing_horizon", "chain_horizon",
+                                     "decay_boundary_samples"])
+    def test_counts_below_one_rejected(self, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 0}))
+        with pytest.raises(ValueError, match=key):
+            gl_cli.load_config(cfg)
+
+
+class TestDecayDefaults:
+    def test_library_and_verify_agree(self, tmp_path):
+        # one default boundary sample count, so the two reports match
+        out = tmp_path / "v.json"
+        assert main(["verify", "--suite", "decay", "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["payload"]["records"]
+        for rec in records:
+            assert rec.pop("suite") == "decay"
+        report = gl.run_suite("decay")
+        assert records == json.loads(json.dumps(
+            [r.to_json_dict() for r in report.records]))
+
+
+class TestCoupleSoft:
+    @staticmethod
+    def files(tmp_path, model, graph):
+        gp = tmp_path / "g.edges"
+        gl.write_edge_list(graph, gp)
+        mp = tmp_path / "soft.json"
+        gl.write_model(model, mp)
+        return gp, mp
+
+    def test_one_state_starts_coalesced(self, tmp_path):
+        gp, mp = self.files(tmp_path, gl.soft_model([0.0], [[0.0]]),
+                            gl.Graph(3, [(0, 1), (1, 2)]))
+        out = tmp_path / "c.json"
+        assert main(["couple", "--model", str(mp), "--graph", str(gp),
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["steps"] == 0
+        assert payload["initial_hamming"] == 0
+
+    def test_three_states_on_the_triangle(self, tmp_path):
+        g = [[0.3, -0.2, 0.1], [-0.2, 0.0, 0.4], [0.1, 0.4, -0.5]]
+        gp, mp = self.files(tmp_path, gl.soft_model([0.0, 0.2, -0.1], g),
+                            gl.Graph(3, [(0, 1), (0, 2), (1, 2)]))
+        out = tmp_path / "c.json"
+        code = main(["couple", "--model", str(mp), "--graph", str(gp),
+                     "--horizon", "100000", "--out", str(out)])
+        assert code in (0, 2)
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["initial_hamming"] == 3

@@ -271,7 +271,6 @@ class TestCheeger:
         cb = gl.cheeger_bound(ch)
         assert cb.epsilon == pytest.approx(0.125)
         assert cb.bound == pytest.approx(128.0)
-        assert cb.complete and cb.reading == "all-pairs"
 
     def test_formula(self):
         assert _cheeger_from_epsilon(0.1) == pytest.approx(200.0)
@@ -281,12 +280,6 @@ class TestCheeger:
         ch = built(gl.hardcore_model(0.0), edge())
         with pytest.raises(gl.CheegerHypothesisError):
             gl.cheeger_bound(ch)
-
-    def test_nonzero_pairs_reading(self):
-        ch = built(gl.hardcore_model(0.0), edge())
-        cb = gl.cheeger_bound(ch, require_complete=False)
-        assert not cb.complete and cb.reading == "nonzero-pairs"
-        assert cb.bound >= gl.mixing_time(ch)
 
     def test_bound_dominates_mixing_when_complete(self):
         ch = built(gl.coloring_model(2), gl.Graph(1, []))

@@ -228,14 +228,6 @@ class TestBoundaries:
         assert b.interior == ()
         assert b.exterior == ()
 
-    def test_relative_to_filters(self):
-        b = gl.boundaries(path3(), [0], relative_to=[0, 1])
-        assert b.exterior == ()
-
-    def test_relative_to_must_contain(self):
-        with pytest.raises(ValueError):
-            gl.boundaries(path3(), [0, 1], relative_to=[0])
-
     def test_exterior_boundary_shortcut(self):
         assert gl.exterior_boundary(star4(), [1]) == (0,)
 

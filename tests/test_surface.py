@@ -4,12 +4,17 @@ A name counts as called when it appears in another package module (not
 ``__init__.py``), in its own module outside its definition, in the
 acceptance gate or in the benchmark harness. ``perfbench/`` and the gate
 are read as text only. A public name that only its own unit tests use
-fails here: delete it, or give it a caller.
+fails here: delete it, or give it a caller.  Likewise every flag a CLI
+command accepts is read by the code that command runs.
 """
 
+import argparse
 import ast
+import inspect
 import re
 from pathlib import Path
+
+from glauberlab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "glauberlab"
@@ -62,3 +67,30 @@ def test_every_public_name_has_a_caller():
                 or name in words(others)):
             uncalled.append(f"{stem}.{name}")
     assert not uncalled, f"public names without a caller: {uncalled}"
+
+
+def args_read(source):
+    """The attributes the source reads off ``args``."""
+    return set(re.findall(r"\bargs\.(\w+)", source))
+
+
+def test_every_flag_is_read():
+    # A flag counts as read where its command's handler reads args.<dest>,
+    # where _emit does for a handler that calls it (out, format), or where
+    # main does (config).  main filling a flag in from the config is not a
+    # read of it.  A flag nothing reads fails here: drop it from its
+    # command, or read it.
+    main = inspect.getsource(cli.main)
+    in_main = args_read(main) - set(re.findall(r"\bargs\.(\w+) = ", main))
+    in_emit = args_read(inspect.getsource(cli._emit))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for command, parser in sub.choices.items():
+        handler = inspect.getsource(parser.get_default("func"))
+        read = in_main | args_read(handler)
+        if "_emit(" in handler:
+            read |= in_emit
+        unread += [f"{command} {a.dest}" for a in parser._actions
+                   if a.dest != "help" and a.dest not in read]
+    assert not unread, f"flags no handler reads: {unread}"
