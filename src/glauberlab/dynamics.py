@@ -6,6 +6,7 @@ checkpoints, and couplings are reproducible bit for bit.  A held lazy
 step consumes only the coin.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import NoFeasibleStateError
@@ -16,6 +17,11 @@ from .models import (HeatBath, initial_configuration, is_feasible,
                      local_conditional)
 from .rng import make_rng, rng_state_from_hex, rng_state_to_hex, sample_index
 from .trees import build_tree_tables, tree_sample
+
+# Most block laws one block chain keeps.  Under colourings a block has up
+# to q^|boundary| boundary states, so past this many the least recently
+# used law is dropped.
+LAW_CACHE_SIZE = 1024
 
 
 @dataclass
@@ -235,42 +241,75 @@ def contraction_probe(model, graph, pairs=20, seed=0):
                        pairs=results)
 
 
-def block_step(model, graph, partition, config, rng, kernel=None):
+class _BlockLaws:
+    """One block chain's heat-bath kernel and block laws.
+
+    A block's or piece's outside neighbors are listed, in a fixed order,
+    on first use.  A law is kept per (block index, piece index or None,
+    their states), up to LAW_CACHE_SIZE laws: the same object, with the
+    same floats, that a bare block_step builds.
+    """
+
+    def __init__(self, model, graph, partition, kernel=None):
+        self.model = model
+        self.graph = graph
+        self.blocks = partition.blocks
+        self.kernel = kernel
+        self._outside = {}
+        self._laws = OrderedDict()
+
+    def law(self, k, piece, config):
+        """A skeleton block's joint (piece None) or tree tables."""
+        block = self.blocks[k]
+        verts = (block if piece is None else block.pieces[piece]).vertices
+        outside = self._outside.get((k, piece))
+        if outside is None:
+            vset = set(verts)
+            outside = self._outside[k, piece] = tuple(dict.fromkeys(
+                w for u in verts for w in self.graph.adj[u]
+                if w not in vset))
+        key = (k, piece, tuple([config[w] for w in outside]))
+        law = self._laws.get(key)
+        if law is not None:
+            self._laws.move_to_end(key)
+            return law
+        boundary = dict(zip(outside, key[2]))
+        law = self._laws[key] = (
+            skeleton_joint(self.model, self.graph, block, boundary)
+            if piece is None and block.kind == "skeleton" else
+            build_tree_tables(self.model, self.graph, verts, boundary))
+        if len(self._laws) > LAW_CACHE_SIZE:
+            self._laws.popitem(last=False)
+        return law
+
+
+def block_step(model, graph, partition, config, rng, laws=None):
     """Resample one uniformly chosen block from its conditional law.
 
-    Singleton blocks use the heat-bath kernel (``kernel``, or a HeatBath
-    built here), plain tree blocks one downward sampling pass, and
-    skeleton blocks draw the skeleton joint first and then each hanging
-    tree given its root.  Mutates config in place, only at the block's
+    Singleton blocks use the heat-bath kernel, plain tree blocks one
+    downward sampling pass, and skeleton blocks draw the skeleton joint
+    first and then each hanging tree given its root.  ``laws`` is a
+    chain's kernel and law cache (run_block_chain's); a bare call builds
+    what it needs afresh.  Mutates config in place, only at the block's
     vertices, and returns the block index.
     """
     k = rng.randrange(len(partition.blocks))
     block = partition.blocks[k]
-    bset = set(block.vertices)
     if block.kind == "singleton":
         v = block.vertices[0]
-        kernel = kernel or HeatBath(model, graph)
+        kernel = laws.kernel if laws else HeatBath(model, graph)
         config[v] = kernel.draw(config, v, rng.random())
         return k
-    boundary = {}
-    for u in block.vertices:
-        for w in graph.adj[u]:
-            if w not in bset:
-                boundary[w] = config[w]
+    laws = laws or _BlockLaws(model, graph, partition)
+    law = laws.law(k, None, config)
     if block.kind == "skeleton":
-        joint = skeleton_joint(model, graph, block, boundary)
-        for w, x in zip(joint.w_vertices, joint.sample(rng)):
+        for w, x in zip(law.w_vertices, law.sample(rng)):
             config[w] = x
-        for piece in block.pieces:
-            pset = set(piece.vertices)
-            pinned = {x: config[x] for u in piece.vertices
-                      for x in graph.adj[u] if x not in pset}
-            tables = build_tree_tables(model, graph, piece.vertices, pinned)
-            for v, x in tree_sample(tables, rng).items():
+        for i in range(len(block.pieces)):
+            for v, x in tree_sample(laws.law(k, i, config), rng).items():
                 config[v] = x
     else:
-        tables = build_tree_tables(model, graph, block.vertices, boundary)
-        for v, x in tree_sample(tables, rng).items():
+        for v, x in tree_sample(law, rng).items():
             config[v] = x
     return k
 
@@ -280,12 +319,12 @@ def run_block_chain(model, graph, partition, start, steps, seed=0,
     """Block-dynamics analogue of run_chain with the same trace format."""
     start = tuple(start)
     rng = make_rng(seed, "block-chain")
-    kernel = HeatBath(model, graph)
+    laws = _BlockLaws(model, graph, partition, HeatBath(model, graph))
     blocks = partition.blocks
     before = list(start)
 
     def step(config):
-        k = block_step(model, graph, partition, config, rng, kernel=kernel)
+        k = block_step(model, graph, partition, config, rng, laws=laws)
         moved = []
         for v in blocks[k].vertices:
             moved.append((v, before[v]))

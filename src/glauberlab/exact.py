@@ -102,7 +102,7 @@ def enumerate_states(model, graph, budget=DEFAULTS["state_budget"],
     assign = [0] * n
     acc = [0.0] * (n + 1)
     nxt = [0] * n
-    i = 0 if n else -1
+    i = 0
     while i >= 0:
         if i == n:
             if len(states) >= budget:
@@ -146,7 +146,8 @@ def _resample_kernel(chain, groups):
     S = len(chain.states)
     X = np.array(chain.states, dtype=np.int64).reshape(S, len(chain.vertices))
     logw = np.array(chain.logw)
-    P = np.zeros((S, S))
+    # with no group to redraw, every state stays put
+    P = np.zeros((S, S)) if groups else np.eye(S)
     for group in groups:
         rest = np.delete(X, group, axis=1)
         # equal rows end up adjacent; lexsort needs at least one key
@@ -297,6 +298,10 @@ def sandwich_check(chain, instance="", horizon=DEFAULTS["mixing_horizon"],
         tau = relaxation_time(chain)
     if tmix is None:
         tmix = mixing_time(chain, horizon=horizon)
+    if len(chain.states) == 1:
+        # stationary from the start, one state relaxes in 0 steps as it
+        # mixes in 0 (relaxation_time's 1.0 takes the missing gap as 1)
+        tau = 0.0
     upper = tau * (1.0 + 0.5 * math.log(1.0 / chain.pi.min()))
     tol = 1e-9
     return [
@@ -501,8 +506,12 @@ class SkeletonJoint:
     def law(self):
         return {s: float(p) for s, p in zip(self.states, self.probs)}
 
+    def __post_init__(self):
+        # sample's weights, listed once for every draw
+        self._weights = self.probs.tolist()
+
     def sample(self, rng):
-        return self.states[sample_index(self.probs.tolist(), rng.random())]
+        return self.states[sample_index(self._weights, rng.random())]
 
 
 def _root_field(model, graph, w, pieces, boundary, wset):

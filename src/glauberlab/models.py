@@ -11,6 +11,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NoFeasibleStateError, PaletteExhaustedError
 from .rng import sample_index
@@ -161,7 +162,8 @@ class HeatBath:
     hardcore has one pmf for an unblocked vertex.  Soft models take the
     generic path.  ``couple(left, right, v, u)`` equals
     ``sample_maximal_coupling`` of v's pmfs in the two configurations;
-    colorings read it off the two taken sets with the same tables.
+    colorings read it off the two taken sets with the same tables, and
+    hardcore off one table per pair of blocked flags.
     """
 
     def __init__(self, model, graph):
@@ -195,6 +197,7 @@ class HeatBath:
             self._cut = p0 if p1 > 0.0 else math.inf
             self.draw = self._draw_hardcore
             self.pmf = self._pmf_hardcore
+            self.couple = self._couple_hardcore
 
     def draw(self, config, v, u):
         return sample_index(local_conditional(
@@ -283,6 +286,26 @@ class HeatBath:
             if config[w]:
                 return 0
         return 0 if u * self._total < self._cut else 1
+
+    @cached_property
+    def _hardcore_pairs(self):
+        # per pair of blocked flags, sample_maximal_coupling's total and
+        # its walk: at most two entries, the first taken below its mass
+        pmf = {False: self._open, True: [1.0, 0.0]}
+        pairs = {}
+        for bl in pmf:
+            for br in pmf:
+                e = maximal_coupling_entries(pmf[bl], pmf[br])
+                pairs[bl, br] = (sum(m for _, _, m in e),
+                                 e[0][2] if e[1:] else math.inf,
+                                 e[0][:2], e[-1][:2])
+        return pairs
+
+    def _couple_hardcore(self, left, right, v, u):
+        nbrs = self._adj[v]
+        total, cut, first, last = self._hardcore_pairs[
+            any(left[w] for w in nbrs), any(right[w] for w in nbrs)]
+        return first if u * total < cut else last
 
     def _pmf_hardcore(self, config, v):
         if any(config[w] for w in self._adj[v]):

@@ -74,15 +74,14 @@ def _forest_structure(graph, block, roots):
 @dataclass
 class TreeTables:
     model: object
-    graph: object
     block: tuple
     roots: tuple
     parent: dict
-    children: dict
     order: tuple
     up: dict
-    boundary: dict
     expg: np.ndarray
+    # tree_sample's conditional lists, by root or (child, parent state)
+    draws: dict
 
 
 def build_tree_tables(model, graph, block, boundary, ignore=(), roots=None):
@@ -123,9 +122,8 @@ def build_tree_tables(model, graph, block, boundary, ignore=(), roots=None):
             raise BoundaryInfeasibleError(
                 f"no feasible state at vertex {v} under the given boundary")
         up[v] = w_v / mx
-    return TreeTables(model=model, graph=graph, block=block, roots=roots,
-                      parent=parent, children=children, order=order, up=up,
-                      boundary=dict(boundary), expg=expg)
+    return TreeTables(model=model, block=block, roots=roots, parent=parent,
+                      order=order, up=up, expg=expg, draws={})
 
 
 def tree_root_law(tables, root=None):
@@ -185,14 +183,18 @@ def tree_law(tables):
 
 
 def tree_sample(tables, rng):
-    """One exact sample of the block, as {vertex: state}."""
+    """One exact sample of the block, as {vertex: state}; each conditional
+    list is built on its first draw and kept on the tables."""
     out = {}
+    parent = tables.parent
     for v in tables.order:
-        if v in tables.parent:
-            probs = _child_conditional(tables, v, out[tables.parent[v]])
-        else:
-            probs = tree_root_law(tables, v)
-        out[v] = sample_index(probs.tolist(), rng.random())
+        key = (v, out[parent[v]]) if v in parent else v
+        probs = tables.draws.get(key)
+        if probs is None:
+            probs = tables.draws[key] = (
+                _child_conditional(tables, v, key[1]) if v in parent
+                else tree_root_law(tables, v)).tolist()
+        out[v] = sample_index(probs, rng.random())
     return out
 
 

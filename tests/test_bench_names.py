@@ -9,8 +9,10 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+from test_dynamics import count_law_builds, skeleton_instance
 
-from glauberlab import zoo
+import glauberlab as gl
+from glauberlab import dynamics, zoo
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -40,3 +42,24 @@ def test_suite_targets_exist():
 def test_called_names_exist(module, attr):
     assert callable(getattr(importlib.import_module(f"glauberlab.{module}"),
                             attr, None))
+
+
+def test_block_chain_builds_each_law_once(monkeypatch):
+    # the traced blocks run counts block_step calls and law builds at
+    # these module attributes; the chain must still go through them
+    calls = []
+    step = dynamics.block_step
+
+    def counted_step(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "block_step", counted_step)
+    builds = count_law_builds(monkeypatch)
+    g, part = skeleton_instance()
+    dynamics.run_block_chain(gl.coloring_model(4), g, part,
+                             (0, 1, 0, 1, 1, 1, 0, 1, 0, 1), 200, seed=5)
+    assert len(calls) == 200
+    assert {name for name, _, _ in builds} == {"skeleton_joint",
+                                               "build_tree_tables"}
+    assert len(builds) == len(set(builds))

@@ -368,6 +368,35 @@ class TestExact:
         assert rows[0]["states"] == "6"
         assert "reducible" in rows[0]["degenerate"]
 
+    def test_one_state_chain_passes(self, tmp_path):
+        # one state mixes in 0 steps and relaxes in 0 steps
+        gp = tmp_path / "p3.edges"
+        gl.write_edge_list(gl.Graph(3, [(0, 1), (1, 2)]), gp)
+        mp = tmp_path / "s1.json"
+        mp.write_text(json.dumps(
+            {"kind": "soft", "q": 1, "h": [0.0], "g": [[0.0]]}))
+        out = tmp_path / "ex.json"
+        assert main(["exact", "--model", str(mp), "--graph", str(gp),
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())["payload"]
+        assert (payload["states"], payload["mixing"]) == (1, 0)
+        assert [(r["exact_value"], r["bound_value"], r["pass"])
+                for r in payload["records"]] == [(0.0, 0.0, True)] * 2
+
+    @pytest.mark.parametrize("lazy", [[], ["--no-lazy"]])
+    def test_empty_graph_has_one_state(self, triangle_files, tmp_path,
+                                       lazy):
+        _, mp = triangle_files
+        gp = tmp_path / "empty.edges"
+        gp.write_text("0 0\n")
+        out = tmp_path / "ex.json"
+        assert main(["exact", "--model", str(mp), "--graph", str(gp),
+                     "--out", str(out)] + lazy) == 0
+        payload = json.loads(out.read_text())["payload"]
+        assert (payload["states"], payload["mixing"]) == (1, 0)
+        assert payload["detailed_balance_gap"] == 0.0
+        assert all(r["pass"] for r in payload["records"])
+
 
 def long_path_files(tmp_path, q):
     n = 1500

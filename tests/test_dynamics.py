@@ -3,6 +3,7 @@ import math
 import pytest
 
 import glauberlab as gl
+from glauberlab import dynamics
 from glauberlab.cli import _scaling_start_pair
 
 
@@ -379,3 +380,75 @@ class TestNegativeSteps:
         with pytest.raises(ValueError):
             gl.run_block_chain(gl.coloring_model(4), g, part,
                                (0, 1, 0, 1, 1, 1, 0, 1, 0, 1), -5)
+
+
+def count_law_builds(monkeypatch):
+    """Record each block-law build that dynamics makes, as (builder,
+    vertices, boundary items), in the list returned."""
+    builds = []
+    for name in ("skeleton_joint", "build_tree_tables"):
+        def counted(model, graph, block, boundary, name=name,
+                    fn=getattr(dynamics, name)):
+            builds.append((name, getattr(block, "vertices", block),
+                           tuple(sorted(boundary.items()))))
+            return fn(model, graph, block, boundary)
+        monkeypatch.setattr(dynamics, name, counted)
+    return builds
+
+
+@pytest.fixture(scope="module")
+def populated_partition():
+    # gen --n 2000 --d 2 --seed 1, decomposed as TestDecomposeWithBadVertices
+    # does: two skeleton blocks with pieces and a tree block, every one
+    # with a nonempty boundary
+    g = gl.generate_er(2000, 2.0, seed=1)
+    hp = gl.HypothesisParams(a=0.3, alpha=0.25, t=1, delta=0.15)
+    return g, gl.decompose(g, hp, L=0.12)
+
+
+class TestBlockLawCache:
+    STEPS = 30000
+    STRIDE = 100
+
+    def test_partition_is_populated(self, populated_partition):
+        g, part = populated_partition
+        kinds = sorted(b.kind for b in part.blocks if b.kind != "singleton")
+        assert kinds == ["skeleton", "skeleton", "tree"]
+        assert all(b.pieces for b in part.blocks if b.kind == "skeleton")
+        assert all(gl.exterior_boundary(g, b.vertices) for b in part.blocks
+                   if b.kind != "singleton")
+
+    @pytest.mark.parametrize("size", [None, 2], ids=["default", "evicting"])
+    @pytest.mark.parametrize("model", [gl.hardcore_model(1.0),
+                                       gl.coloring_model(5)],
+                             ids=["hardcore", "coloring-q5"])
+    def test_chain_equals_bare_replay(self, populated_partition, monkeypatch,
+                                      model, size):
+        g, part = populated_partition
+        if size is not None:
+            monkeypatch.setattr(dynamics, "LAW_CACHE_SIZE", size)
+        builds = count_law_builds(monkeypatch)
+        start = gl.initial_configuration(model, g)
+        st, trace = gl.run_block_chain(model, g, part, start, self.STEPS,
+                                       seed=4, stride=self.STRIDE)
+        monkeypatch.undo()
+
+        rng = gl.make_rng(4, "block-chain")
+        cfg = list(start)
+        want = [(0, 0, sum(1 for a in cfg if a))]
+        lookups = 0
+        for step in range(1, self.STEPS + 1):
+            block = part.blocks[gl.block_step(model, g, part, cfg, rng)]
+            if block.kind != "singleton":
+                lookups += 1 + len(block.pieces)
+            if step % self.STRIDE == 0:
+                want.append((step,
+                             sum(1 for a, b in zip(cfg, start) if a != b),
+                             sum(1 for a in cfg if a)))
+        assert trace == want
+        assert st.config == tuple(cfg)
+        assert len(set(builds)) < lookups
+        if size is None:
+            assert len(builds) == len(set(builds))
+        else:
+            assert len(builds) > len(set(builds))
