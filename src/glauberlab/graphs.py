@@ -17,7 +17,7 @@ from .records import CheckRecord, Report
 from .rng import make_rng
 
 # BFS sources swept at once: four 64-bit words of source bits per vertex,
-# and a (256, n) float64 block of distance rows.
+# and an (n, 256) block of small-int depth codes (uint8 up to depth 127).
 _DIST_CHUNK = 256
 
 
@@ -201,29 +201,17 @@ def _unpack_bits(words, k):
                          bitorder="little")
 
 
-def _distance_rows(seen, planes, k):
-    """C-contiguous (k, n) distances from the planes; inf if unreached."""
-    nbits = len(planes)
-    # An unreached bit has no level bits, so its code 1 << nbits is no depth.
-    code_type = np.min_scalar_type(1 << nbits)
-    code = np.left_shift(_unpack_bits(~seen, k), nbits, dtype=code_type)
-    for b, plane in enumerate(planes):
-        code |= np.left_shift(_unpack_bits(plane, k), b, dtype=code_type)
-    dmat = np.empty((k, len(seen)))
-    for s in range(0, len(seen), 2048):  # a blocked transpose stays in cache
-        dmat[:, s:s + 2048] = code[s:s + 2048].T
-    dmat[dmat == 1 << nbits] = np.inf
-    return dmat
-
-
 def _distance_chunks(g):
-    """Yield (source indices, hop-distance rows) over the whole graph.
+    """Yield (source indices, depth codes, unreached code) over the graph.
 
     Bit-parallel multi-source BFS (MS-BFS; Then et al., PVLDB 2014): bit s
     of a vertex's words records that source sel[s] has reached it, so one
     level advances every source of the chunk.  Each level ORs its new bits
     into the planes of its depth (plane b holds bit b of the distance).
-    The rows equal unweighted shortest-path rows, inf where unreachable.
+    ``code`` is the (n, k) array, of the smallest unsigned int type that
+    holds ``far``, whose column s holds the hop distances from sel[s];
+    ``far`` = 1 << len(planes) exceeds every depth of the chunk and marks
+    an unreached vertex.
     """
     indptr, indices = g.csr_adjacency()
     for start in range(0, g.n, _DIST_CHUNK):
@@ -245,27 +233,50 @@ def _distance_chunks(g):
             for b, plane in enumerate(planes):
                 if depth >> b & 1:
                     plane[act] = np.take(plane, act, axis=0) | words
-        dmat = _distance_rows(seen, planes, k)
-        # Free the sweep's state before the caller works on the rows.
+        far = 1 << len(planes)
+        # An unreached bit has no level bits, so its code is far alone.
+        code_type = np.min_scalar_type(far)
+        code = np.left_shift(_unpack_bits(~seen, k), len(planes),
+                             dtype=code_type)
+        for b, plane in enumerate(planes):
+            code |= np.left_shift(_unpack_bits(plane, k), b, dtype=code_type)
+        # Free the sweep's state before the caller works on the codes.
         del seen, planes, act, words
-        yield sel, dmat
+        yield sel, code, far
 
 
 def _sweep(g, alpha=None, radius=None):
     """phi_alpha and the tree excess of every radius-``radius`` ball, from
-    one pass over the distance rows; a clause left as None reads zeros."""
+    one pass over the depth codes; a clause left as None reads zeros.
+
+    phi looks each code up in a table of alpha powers (0.0 for unreached)
+    and sums each source's terms as one contiguous row in vertex order, as
+    a row of distances would be summed.  Sources go 32 at a time because
+    np.take copies its index as intp.
+    """
     phi = np.zeros(g.n)
     excess = np.zeros(g.n, dtype=np.int64)
     ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
-    for sel, dmat in _distance_chunks(g):
+    for sel, code, far in _distance_chunks(g):
         if alpha is not None:
-            # alpha ** inf == 0.0 handles unreachable vertices.
-            phi[sel] = (alpha ** dmat).sum(axis=1) - 1.0
+            table = alpha ** np.arange(far + 1, dtype=float)
+            table[far] = 0.0
+            for i in range(0, len(sel), 32):
+                phi[sel[i:i + 32]] = np.take(
+                    table, code.T[i:i + 32]).sum(axis=1) - 1.0
         if radius is not None:
-            mask = dmat <= radius
-            ecount = (mask[:, ends[:, 0]] & mask[:, ends[:, 1]]).sum(axis=1)
-            excess[sel] = ecount - mask.sum(axis=1) + 1
+            excess[sel] = _ball_excess(code, far, radius, ends)
     return phi, excess
+
+
+def _ball_excess(code, far, radius, ends):
+    """Tree excess of each code column's radius-``radius`` ball; its masks
+    are freed before the next chunk's BFS runs."""
+    # Capped at far - 1: far itself is the unreached code.
+    mask = code <= min(radius, far - 1)
+    inside = np.take(mask, ends[:, 0], axis=0)
+    inside &= np.take(mask, ends[:, 1], axis=0)
+    return inside.sum(axis=0) - mask.sum(axis=0) + 1
 
 
 def alpha_weights_all(g, alpha):

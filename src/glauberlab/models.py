@@ -13,6 +13,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import NoFeasibleStateError, PaletteExhaustedError
 from .rng import sample_index
 
@@ -72,6 +74,19 @@ class SpinModel:
     @property
     def states(self):
         return range(self.q)
+
+    @cached_property
+    def exp_tables(self):
+        """Read-only (exp h, exp g) arrays, built once per model; a hard
+        constraint's exp g is 0.0."""
+        expg = np.zeros((self.q, self.q))
+        for i in range(self.q):
+            for j in range(self.q):
+                gij = self.g[i][j]
+                expg[i, j] = 0.0 if gij == NEG_INF else np.exp(gij)
+        exph = np.exp(np.array(self.h))
+        exph.flags.writeable = expg.flags.writeable = False
+        return exph, expg
 
 
 def coloring_model(q):

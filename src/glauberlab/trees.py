@@ -10,19 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryInfeasibleError
-from .models import NEG_INF
 from .rng import derive_seed, sample_index
-
-
-def _exp_tables(model):
-    q = model.q
-    expg = np.zeros((q, q))
-    for i in range(q):
-        for j in range(q):
-            gij = model.g[i][j]
-            expg[i, j] = 0.0 if gij == NEG_INF else np.exp(gij)
-    exph = np.exp(np.array(model.h))
-    return exph, expg
 
 
 def _forest_structure(graph, block, roots):
@@ -106,7 +94,7 @@ def build_tree_tables(model, graph, block, boundary, ignore=(), roots=None):
                     f"neighbor {w} of block vertex {v} has no boundary "
                     f"assignment")
     roots, parent, children, order = _forest_structure(graph, block, roots)
-    exph, expg = _exp_tables(model)
+    exph, expg = model.exp_tables
 
     up = {}
     for v in reversed(order):
@@ -247,7 +235,7 @@ def batched_root_marginals(model, graph, block, root, boundary_vertices,
             if w not in bset and w not in bpos:
                 raise ValueError(f"boundary vertex {w} missing from the list")
     roots, parent, children, order = _forest_structure(graph, block, (root,))
-    exph, expg = _exp_tables(model)
+    exph, expg = model.exp_tables
     states = np.asarray(boundary_states)
     batch = states.shape[0]
 

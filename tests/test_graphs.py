@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,10 @@ def engine_cases():
                        id="isolated")
     yield pytest.param(gl.Graph(300, [(i, i + 1) for i in range(299)]),
                        id="path-300")
+    # depth 7 = 0b111 is the deepest level, so the unreached code 8 sits
+    # one above a real depth
+    yield pytest.param(gl.Graph(300, [(i, i + 1) for i in range(7)]),
+                       id="path-8-isolated")
 
 
 class TestSweepEngine:
@@ -156,9 +161,12 @@ class TestSweepEngine:
     def test_matches_reference(self, g):
         ref = reference_rows(g)
         rows = np.zeros((g.n, g.n))
-        for sel, dmat in graphs._distance_chunks(g):
-            assert dmat.dtype == np.float64 and dmat.flags.c_contiguous
-            rows[sel] = dmat
+        for sel, code, far in graphs._distance_chunks(g):
+            assert code.shape == (g.n, len(sel))
+            assert code.dtype == (np.uint8 if far < 256 else np.uint16)
+            reached = code != far
+            assert far == 1 << int(code[reached].max()).bit_length()
+            rows[sel] = np.where(reached, code, np.inf).T
         assert np.array_equal(rows, ref)
         for alpha in (0.25, 0.3, 0.5, 0.9):
             phi = (alpha ** ref).sum(axis=1) - 1.0
@@ -166,6 +174,19 @@ class TestSweepEngine:
         for l in range(7):
             assert np.array_equal(gl.tree_excess_all(g, l),
                                   reference_excess(g, ref, l)), l
+
+    def test_check_builds_no_float_distance_block(self):
+        # one (256, n) float64 block of distances alone is 10.24 MB here
+        g = gl.generate_er(5000, 2.0, 1)
+        g.csr_adjacency()
+        hp = gl.HypothesisParams(a=0.2, alpha=0.25, t=1, delta=2.07)
+        tracemalloc.start()
+        try:
+            gl.check_hypothesis(g, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     @pytest.mark.parametrize("seed,a,t", [(3, 0.2, 1), (8, 0.5, 5),
                                           (11, 1.0, 0)])
