@@ -193,15 +193,11 @@ def is_irreducible(chain):
     support = chain.P > 0
     seen = np.zeros(S, dtype=bool)
     seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in np.nonzero(support[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
-                    nxt.append(int(j))
-        frontier = nxt
+    frontier = seen.copy()
+    # one boolean level of BFS from state 0 per pass
+    while frontier.any():
+        frontier = support[frontier].any(axis=0) & ~seen
+        seen |= frontier
     return bool(seen.all())
 
 
@@ -247,8 +243,12 @@ def _worst_tv(mat, pi):
 def mixing_time(chain, horizon=DEFAULTS["mixing_horizon"]):
     """Smallest t with worst-start TV(P^t, pi) <= TV_TARGET = 1/(2e).
 
-    Worst-start TV is non-increasing in t, so doubling up then binary
-    search is exact; power-of-two matrices are cached and reused.
+    Worst-start TV is non-increasing in t.  Squaring P up to the first
+    mixed power P^t leaves P^(t/2) as the largest power known not to
+    mix; binary lifting then tries its remaining bits from the top, one
+    product each, keeping a candidate power only if it has not mixed.
+    Each power of two is popped once used, so at most one candidate and
+    the unused powers stay alive.
     """
     if chain.P is None:
         raise ValueError("transition matrix not built")
@@ -263,28 +263,21 @@ def mixing_time(chain, horizon=DEFAULTS["mixing_horizon"]):
             raise HorizonExceededError(f"no mixing within horizon {horizon}")
         pows.append(pows[-1] @ pows[-1])
         t *= 2
-    hi = t
+    # P^t has mixed and P^lo, lo = t/2, has not (t = 1: P mixes at once)
+    pows.pop()
     lo = t // 2
-
-    def power(steps):
-        out = None
-        k = 0
-        while steps:
-            if steps & 1:
-                out = pows[k] if out is None else out @ pows[k]
-            steps >>= 1
-            k += 1
-        return out
-
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _worst_tv(power(mid), chain.pi) <= TV_TARGET:
-            hi = mid
-        else:
-            lo = mid
-    if hi > horizon:
+    cur = pows.pop() if pows else None
+    step = lo
+    while pows:
+        step //= 2
+        cand = cur @ pows.pop()
+        if _worst_tv(cand, chain.pi) > TV_TARGET:
+            cur = cand
+            lo += step
+        del cand  # a rejected candidate goes before the next product
+    if lo + 1 > horizon:
         raise HorizonExceededError(f"no mixing within horizon {horizon}")
-    return hi
+    return lo + 1
 
 
 def sandwich_check(chain, instance="", horizon=DEFAULTS["mixing_horizon"],
@@ -362,8 +355,12 @@ def canonical_path_bound(model, graph, lazy=True,
     """
     if model.kind != "hardcore":
         raise ValueError("canonical paths are defined for hardcore models")
-    chain = transition_matrix(
-        enumerate_states(model, graph, budget=budget), lazy=lazy)
+    return _path_congestion(transition_matrix(
+        enumerate_states(model, graph, budget=budget), lazy=lazy))
+
+
+def _path_congestion(chain):
+    """The canonical-path bound on a built hardcore chain."""
     S = len(chain.states)
     loads = {}
     max_len = 0

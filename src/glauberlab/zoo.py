@@ -14,7 +14,7 @@ import numpy as np
 from .blocks import Block, BlockPartition, Piece
 from .defaults import DEFAULTS
 from .errors import BudgetExceededError, CheegerHypothesisError
-from .exact import (block_composition_check, canonical_path_bound,
+from .exact import (_path_congestion, block_composition_check,
                     cheeger_bound, coloring_q_threshold, compose_block_law,
                     enumerate_states, hardcore_activity_threshold,
                     is_irreducible, law_tv, mixing_time, relaxation_time,
@@ -416,11 +416,10 @@ def suite_canonical(state_budget=DEFAULTS["state_budget"]):
             continue
         for gname, graph in connected_graphs():
             instance = f"{mname}/{gname}"
-            cp = canonical_path_bound(model, graph, lazy=True,
-                                      budget=state_budget)
             chain = transition_matrix(
                 enumerate_states(model, graph, budget=state_budget),
                 lazy=True)
+            cp = _path_congestion(chain)
             tau = relaxation_time(chain)
             report.add(BoundRecord(instance=instance,
                                    bound_name="canonical-path",

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import glauberlab as gl
-from glauberlab.exact import _cheeger_from_epsilon, _resample_kernel
+from glauberlab.defaults import DEFAULTS
+from glauberlab.exact import (TV_TARGET, _cheeger_from_epsilon,
+                              _resample_kernel, _worst_tv)
 from glauberlab.models import neighbor_conditional
-from glauberlab.zoo import (connected_graphs, model_grid, partitioned_cases,
-                            skeleton_block_cases)
+from glauberlab.zoo import (_zoo_chains, connected_graphs, model_grid,
+                            partitioned_cases, skeleton_block_cases)
 
 
 def path3():
@@ -244,6 +246,59 @@ class TestMixingTime:
         ch = built(gl.coloring_model(3), triangle())
         with pytest.raises(gl.HorizonExceededError):
             gl.mixing_time(ch, horizon=64)
+
+    def test_matches_linear_scan_on_zoo(self):
+        checked = 0
+        for instance, ch in _zoo_chains(DEFAULTS["state_budget"]):
+            if isinstance(ch, str) or len(ch.states) > 64:
+                continue
+            assert gl.mixing_time(ch) == linear_scan_mixing(ch), instance
+            checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("model, graph, tmix", [
+        (gl.hardcore_model(0.0), edge(), 8),
+        (gl.coloring_model(4), triangle(), 20)])
+    def test_horizon_edges(self, model, graph, tmix):
+        ch = built(model, graph)
+        with pytest.raises(gl.HorizonExceededError):
+            gl.mixing_time(ch, horizon=tmix - 1)
+        assert gl.mixing_time(ch, horizon=tmix) == tmix
+
+    def test_mixes_in_one_step(self):
+        # the non-lazy chain on one vertex redraws it from pi at once
+        ch = built(gl.coloring_model(2), gl.Graph(1, []), lazy=False)
+        assert gl.mixing_time(ch) == 1
+
+    def test_one_product_per_bit(self):
+        # 3-colourings of the 9-vertex path: 768 states and t_mix = 495,
+        # reached by 9 squarings and 8 lifts; binary search took 41
+        ch = built(gl.coloring_model(3),
+                   gl.Graph(9, [(v, v + 1) for v in range(8)]))
+        ch.P = ch.P.view(CountingMatrix)
+        CountingMatrix.products = 0
+        tmix = gl.mixing_time(ch)
+        assert tmix == 495
+        assert CountingMatrix.products <= 2 * math.ceil(math.log2(tmix))
+
+
+def linear_scan_mixing(chain):
+    """Oracle: the smallest t with P^t = P^(t-1) @ P under the target."""
+    mat = np.eye(len(chain.states))
+    t = 0
+    while _worst_tv(mat, chain.pi) > TV_TARGET:
+        mat = mat @ chain.P
+        t += 1
+    return t
+
+
+class CountingMatrix(np.ndarray):
+    """A transition matrix view that counts its matrix products."""
+    products = 0
+
+    def __matmul__(self, other):
+        CountingMatrix.products += 1
+        return super().__matmul__(other)
 
 
 class TestSandwich:
