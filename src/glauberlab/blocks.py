@@ -123,7 +123,8 @@ class _Skeleton:
     hits[v] is v's number of W-neighbours, anchored holds the vertices
     outside W with at least one, and a union-find over W keeps at each
     root comp[root] = [size, induced edge count, minimum vertex] of its
-    component.
+    component.  Rule (i) has failed for good on every edge before
+    edge_cursor, counted in its scan order.
     """
 
     def __init__(self, g, W=()):
@@ -133,6 +134,7 @@ class _Skeleton:
         self.anchored = set()
         self.parent = {}
         self.comp = {}
+        self.edge_cursor = 0
         self.add(set(W))
 
     def _find(self, v):
@@ -239,15 +241,21 @@ def _find_rule_ii(g, sk, cap, budget, high):
 def _find_rule_i(g, sk, cap, budget, high):
     # Cycle of m = dist+1 vertices with 3 <= m < cap, where dist is the
     # length of the shortest path between the edge's ends avoiding it.
+    # The scan resumes at the cursor: the edges before it failed for good.
     if cap <= 3.0:
         return None
-    W = sk.W
-    edges = [e for e in g.edges if e[0] not in W and e[1] not in W]
-    for u, v in (reversed(edges) if high else edges):
+    W, edges = sk.W, g.edges
+    last = len(edges) - 1
+    for k in range(sk.edge_cursor, len(edges)):
+        u, v = edges[last - k] if high else edges[k]
+        if u in W or v in W:
+            continue
         path = _short_path(g, W, u, {v}, math.ceil(cap) - 2, budget,
                            banned=v)
         if path:
+            sk.edge_cursor = k + 1
             return path
+    sk.edge_cursor = len(edges)
     return None
 
 
@@ -289,6 +297,13 @@ def build_skeleton(g, labeling, L, t, log_base=DEFAULTS["log_base"],
     scanning downward.  Rule searches are exact shortest-path probes.
     Each addition is connected, so it changes only the component it joins,
     and that component alone is checked against the size and excess bounds.
+
+    W only grows, and a rule (i) probe searches V-W, which only shrinks,
+    for a path between two fixed ends: a probe that failed stays failed.
+    So rule (i)'s edge scan resumes just past the edge that last fired,
+    and picks the same edge a full rescan would.  Rule (ii) rescans all
+    of its sources every round, since its targets, the anchored vertices,
+    grow with W and a failed probe can succeed later.
 
     ``labeling`` is accepted for interface symmetry: the rules themselves
     never consult goodness (only the termination guarantee does).
@@ -429,26 +444,37 @@ def _block_diameter(g, vertices):
     disconnected, from a few BFS (Takes and Kosters, CIKM 2011).
 
     A BFS from v gives ecc(v), a lower bound on the diameter, and bounds
-    every ecc(w) above by ecc(v) + d(v, w).  Vertices whose bound cannot
-    beat the lower bound drop out; the next source is the remaining vertex
-    with the largest bound, ties to the first in block order.
+    every ecc(w) above by ecc(v) + d(v, w) and below by d(v, w) and
+    ecc(v) - d(v, w).  Vertices whose upper bound cannot beat the diameter
+    found so far drop out.  The next source is the remaining vertex with
+    the largest upper bound and, on alternate rounds, the smallest lower
+    bound (a likely centre, whose BFS tightens many upper bounds at once);
+    ties go to the first in block order.
     """
     vset = set(vertices)
     upper = dict.fromkeys(vertices, math.inf)
+    lower = dict.fromkeys(vertices, 0)
     diam = 0
+    by_upper = True
     while upper:
-        v = max(upper, key=upper.get)
+        if by_upper:
+            v = max(upper, key=upper.get)
+        else:
+            v = min(lower, key=lower.get)
+        by_upper = not by_upper
         dist = bfs_distances(g, v, within=vset)
         if len(dist) < len(vset):
             return math.inf
         ecc = max(dist.values())
         diam = max(diam, ecc)
-        left = {}
+        left, low = {}, {}
         for w, bound in upper.items():
-            bound = min(bound, ecc + dist[w])
+            d = dist[w]
+            bound = min(bound, ecc + d)
             if bound > diam:
                 left[w] = bound
-        upper = left
+                low[w] = max(lower[w], d, ecc - d)
+        upper, lower = left, low
     return diam
 
 

@@ -234,13 +234,16 @@ class TestBuildSkeleton:
             gl.build_skeleton(g, self.good_labeling(g), L=1.0, t=1,
                               log_base=base)
 
-    # Total rule-search spend to the fixed point, recorded on the
-    # hand-written BFS loops this search replaced: a node_budget equal to
-    # it passes and one below it raises.
+    # Total rule-search spend to the fixed point: a node_budget equal to
+    # it passes and one below it raises.  Only probes that run are charged,
+    # and rule (i) never re-probes an edge that has failed.  The high scan
+    # tries rule (i) first in every round, so its spend is what the cursor
+    # saves; the low scan reaches rule (i) here only on the empty W and at
+    # the fixed point, where every edge it passed over first touches W.
     @pytest.mark.parametrize("seed, order, spend, size", [
-        (100, "low", 660, 37), (100, "high", 1052, 37),
-        (101, "low", 635, 43), (101, "high", 861, 43),
-        (102, "low", 706, 40), (102, "high", 620, 40),
+        (100, "low", 660, 37), (100, "high", 467, 37),
+        (101, "low", 635, 43), (101, "high", 519, 43),
+        (102, "low", 706, 40), (102, "high", 292, 40),
     ])
     def test_search_spend_pinned(self, seed, order, spend, size):
         g = gl.generate_er(60, 2.5, seed=seed)
@@ -257,6 +260,74 @@ class TestBuildSkeleton:
         with pytest.raises(ValueError):
             gl.build_skeleton(c6(), self.good_labeling(c6()), L=1.0, t=1,
                               scan_order="sideways")
+
+
+def full_rescan_rule_i(g, sk, cap, budget, high):
+    """Rule (i) as a full rescan: every round probes every edge outside W
+    again, from the first edge in scan order."""
+    if cap <= 3.0:
+        return None
+    W = sk.W
+    edges = [e for e in g.edges if e[0] not in W and e[1] not in W]
+    for u, v in (reversed(edges) if high else edges):
+        path = gl_blocks._short_path(g, W, u, {v}, math.ceil(cap) - 2,
+                                     budget, banned=v)
+        if path:
+            return path
+    return None
+
+
+def record_growth(monkeypatch, g, order):
+    """(additions in order, components) of build_skeleton at L = 2/ln n."""
+    additions = []
+    add = gl_blocks._Skeleton.add
+
+    def recording_add(sk, vertices):
+        additions.append(tuple(vertices))
+        return add(sk, vertices)
+
+    with monkeypatch.context() as m:
+        m.setattr(gl_blocks._Skeleton, "add", recording_add)
+        comps = gl.build_skeleton(g, None, 2 / math.log(g.n), t=1000,
+                                  scan_order=order)
+    return additions, comps
+
+
+GROWTH_GRAPHS = ([(60, seed) for seed in range(100, 130)]
+                 + [(400, seed) for seed in range(4)])
+
+
+class TestRuleICursor:
+    """Resuming rule (i)'s edge scan where it last fired against the full
+    rescan: W only grows, so an edge whose probe failed fails for good."""
+
+    @pytest.mark.parametrize("order", ["low", "high"])
+    def test_same_growth_as_full_rescan(self, monkeypatch, order):
+        for n, seed in GROWTH_GRAPHS:
+            g = gl.generate_er(n, 2.5, seed=seed)
+            got = record_growth(monkeypatch, g, order)
+            with monkeypatch.context() as m:
+                m.setattr(gl_blocks, "_RULES",
+                          gl_blocks._RULES[:2] + (("i", full_rescan_rule_i),))
+                want = record_growth(monkeypatch, g, order)
+            assert got == want, (n, seed)
+
+    @pytest.mark.parametrize("order", ["low", "high"])
+    def test_each_edge_probed_at_most_once(self, monkeypatch, order):
+        probes = []
+        short_path = gl_blocks._short_path
+
+        def counting(*args, banned=None, **kwargs):
+            probes.append(banned is not None)
+            return short_path(*args, banned=banned, **kwargs)
+
+        monkeypatch.setattr(gl_blocks, "_short_path", counting)
+        for n, seed in [(60, 100), (60, 101), (60, 102), (400, 0)]:
+            g = gl.generate_er(n, 2.5, seed=seed)
+            probes.clear()
+            gl.build_skeleton(g, None, 2 / math.log(n), t=1000,
+                              scan_order=order)
+            assert 0 < sum(probes) <= g.m, (n, seed)
 
 
 class TestBuildBlocks:
@@ -359,6 +430,28 @@ class TestBlockDiameter:
                 # the cycle less one vertex is a path
                 assert (gl_blocks._block_diameter(cycle, tuple(range(1, n)))
                         == oracle_block_diameter(cycle, range(1, n)) == n - 2)
+
+    def test_giant_skeleton_block_takes_fewer_bfs(self, monkeypatch):
+        # the giant skeleton block (339 vertices) of G(400, 2.5/400), seed
+        # 3, in criterion 6's regime: picking every source by its largest
+        # upper bound took 60 BFS, alternating with the smallest lower
+        # bound takes 29
+        g = gl.generate_er(400, 2.5, seed=3)
+        hp = gl.HypothesisParams(a=1.0, alpha=0.5, t=1000, delta=100.0)
+        part = gl.decompose(g, hp, L=2 / math.log(g.n))
+        block = max(part.blocks, key=lambda b: len(b.vertices))
+        assert block.kind == "skeleton" and len(block.vertices) == 339
+        assert oracle_block_diameter(g, block.vertices) == 13
+        calls = []
+        bfs = gl_blocks.bfs_distances
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return bfs(*args, **kwargs)
+
+        monkeypatch.setattr(gl_blocks, "bfs_distances", counting)
+        assert gl_blocks._block_diameter(g, block.vertices) == 13
+        assert len(calls) < 60
 
     @pytest.mark.parametrize("d", [1.0, 1.5, 2.0, 3.0])
     def test_er_components(self, d):

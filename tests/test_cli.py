@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -126,6 +127,37 @@ class TestDecompose:
         assert payload_digest(out) == "b8ab4efb63b8caa0"
         back = gl.read_partition(part)
         assert sorted(back.owner_map()) == list(range(1000))
+
+    # Criterion 6's regime on G(400, 2.5/400), seed 3, where rule (i)
+    # runs and the skeleton grows to a fixed point (the pin above is at
+    # the paper's constants, where the rule cap is below 3 and no rule
+    # fires): both scan orders reach the same partition, byte for byte.
+    SKELETON_ARGS = ["--a", "1", "--alpha", "0.5", "--t", "1000",
+                     "--delta", "100",
+                     "--length-scale", str(2 / math.log(400))]
+
+    @pytest.fixture()
+    def skeleton_graph(self, tmp_path):
+        gp = tmp_path / "g.edges"
+        gl.write_edge_list(gl.generate_er(400, 2.5, 3), gp)
+        return gp
+
+    @pytest.mark.parametrize("order", ["low", "high"])
+    def test_skeleton_regime_pinned(self, skeleton_graph, tmp_path, order):
+        out = tmp_path / "dec.json"
+        part = tmp_path / "part.json"
+        assert main(["decompose", str(skeleton_graph)] + self.SKELETON_ARGS
+                    + ["--scan-order", order, "--out", str(out),
+                       "--partition-out", str(part)]) == 0
+        assert payload_digest(out) == "a0f3855bd6cfe072"
+        digest = hashlib.sha256(part.read_bytes()).hexdigest()
+        assert digest[:16] == "f863432cc011dc26"
+
+    def test_skeleton_search_budget_exit_code(self, skeleton_graph,
+                                              tmp_path):
+        assert main(["decompose", str(skeleton_graph)] + self.SKELETON_ARGS
+                    + ["--budget", "10",
+                       "--out", str(tmp_path / "dec.json")]) == 2
 
     def test_validation_failures_reported(self, tmp_path):
         gp = tmp_path / "tree.edges"
