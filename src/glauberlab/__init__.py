@@ -7,9 +7,9 @@ from .blocks import (BlockParams, BlockPartition, Block, GoodBadLabeling,
                      has_applicable_rule, partition_from_json_dict,
                      partition_to_json_dict, read_partition,
                      validate_partition, write_partition)
-from .dynamics import (ChainState, coalescence_time, contraction_probe,
-                       read_checkpoint, resume_chain, run_block_chain,
-                       run_chain, block_step, visit_counts,
+from .dynamics import (ChainState, coalescence_time, compose_block_law,
+                       contraction_probe, read_checkpoint, resume_chain,
+                       run_block_chain, run_chain, block_step, visit_counts,
                        write_checkpoint)
 from .errors import (BoundaryInfeasibleError, BudgetExceededError,
                      CheegerHypothesisError, DegenerateChainError,
@@ -19,13 +19,12 @@ from .errors import (BoundaryInfeasibleError, BudgetExceededError,
 from .exact import (CanonicalBound, CheegerBound, DecayCheck, ExactChain,
                     SkeletonJoint, block_composition_check,
                     canonical_path_bound, cheeger_bound,
-                    coloring_q_threshold, compose_block_law,
-                    detailed_balance_gap, enumerate_states,
-                    format_chain_dump, hardcore_activity_threshold,
-                    is_irreducible, law_tv, mixing_time, psi_weight,
-                    relaxation_time, sandwich_check, skeleton_joint,
-                    soft_norm_threshold, spectrum, transition_matrix,
-                    tree_decay_check)
+                    coloring_q_threshold, detailed_balance_gap,
+                    enumerate_states, format_chain_dump,
+                    hardcore_activity_threshold, is_irreducible, law_tv,
+                    mixing_time, psi_weight, relaxation_time,
+                    sandwich_check, skeleton_joint, soft_norm_threshold,
+                    spectrum, transition_matrix, tree_decay_check)
 from .graphs import (AlphaWeight, Boundaries, Graph, HypothesisParams,
                      HypothesisReport, alpha_weight, alpha_weights_all,
                      ball, bfs_distances, boundaries, check_hypothesis,

@@ -6,17 +6,19 @@ checkpoints, and couplings are reproducible bit for bit.  A held lazy
 step consumes only the coin.
 """
 
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import NoFeasibleStateError
 from .exact import skeleton_joint
+from .graphs import exterior_boundary
 # local_conditional and sample_index are unused here but stay importable:
 # perfbench's traced run wraps them on this module
 from .models import (HeatBath, initial_configuration, is_feasible,
                      local_conditional)
 from .rng import make_rng, rng_state_from_hex, rng_state_to_hex, sample_index
-from .trees import build_tree_tables, tree_sample
+from .trees import build_tree_tables, tree_law, tree_sample
 
 # Most block laws one block chain keeps.  Under colourings a block has up
 # to q^|boundary| boundary states, so past this many the least recently
@@ -250,10 +252,10 @@ class _BlockLaws:
     same floats, that a bare block_step builds.
     """
 
-    def __init__(self, model, graph, partition, kernel=None):
+    def __init__(self, model, graph, blocks, kernel=None):
         self.model = model
         self.graph = graph
-        self.blocks = partition.blocks
+        self.blocks = blocks
         self.kernel = kernel
         self._outside = {}
         self._laws = OrderedDict()
@@ -283,6 +285,39 @@ class _BlockLaws:
         return law
 
 
+def compose_block_law(model, graph, block, boundary):
+    """Joint law of a skeleton block, as {config tuple over sorted block
+    vertices: probability}.
+
+    The law block_step draws from, read off the same block laws: the
+    skeleton joint, then for each of its states each piece's tree law
+    given its root.  Computed exactly, for comparison against full
+    enumeration.
+    """
+    if block.kind != "skeleton":
+        raise ValueError(f"a {block.kind} block has no skeleton joint")
+    for w in exterior_boundary(graph, block.vertices):
+        if w not in boundary:
+            raise ValueError(f"boundary missing state for vertex {w}")
+    laws = _BlockLaws(model, graph, (block,))
+    config = dict(boundary)
+    joint = laws.law(0, None, config)
+    allv = tuple(sorted(block.vertices))
+    piece_verts = [tuple(sorted(piece.vertices)) for piece in block.pieces]
+    out = {}
+    for xi, qp in zip(joint.states, joint.probs):
+        config.update(zip(joint.w_vertices, xi))
+        piece_laws = [tree_law(laws.law(0, i, config)).items()
+                      for i in range(len(piece_verts))]
+        for combo in itertools.product(*piece_laws):
+            p = float(qp)
+            for verts, (cfg, pl) in zip(piece_verts, combo):
+                config.update(zip(verts, cfg))
+                p *= pl
+            out[tuple([config[u] for u in allv])] = p
+    return out
+
+
 def block_step(model, graph, partition, config, rng, laws=None):
     """Resample one uniformly chosen block from its conditional law.
 
@@ -300,7 +335,7 @@ def block_step(model, graph, partition, config, rng, laws=None):
         kernel = laws.kernel if laws else HeatBath(model, graph)
         config[v] = kernel.draw(config, v, rng.random())
         return k
-    laws = laws or _BlockLaws(model, graph, partition)
+    laws = laws or _BlockLaws(model, graph, partition.blocks)
     law = laws.law(k, None, config)
     if block.kind == "skeleton":
         for w, x in zip(law.w_vertices, law.sample(rng)):
@@ -319,7 +354,7 @@ def run_block_chain(model, graph, partition, start, steps, seed=0,
     """Block-dynamics analogue of run_chain with the same trace format."""
     start = tuple(start)
     rng = make_rng(seed, "block-chain")
-    laws = _BlockLaws(model, graph, partition, HeatBath(model, graph))
+    laws = _BlockLaws(model, graph, partition.blocks, HeatBath(model, graph))
     blocks = partition.blocks
     before = list(start)
 

@@ -20,7 +20,7 @@ from .graphs import bfs_distances, exterior_boundary
 from .models import NEG_INF
 from .records import BoundRecord
 from .rng import make_rng, sample_index
-from .trees import batched_root_marginals, build_tree_tables, tree_law
+from .trees import batched_root_marginals, build_tree_tables
 
 TV_TARGET = 1.0 / (2.0 * math.e)
 EIG_TOLERANCE = 1e-10
@@ -566,11 +566,7 @@ def skeleton_joint(model, graph, block, boundary):
     wpos = {w: i for i, w in enumerate(W)}
     wedges = [(wpos[u], wpos[v]) for u, v in graph.edges
               if u in wset and v in wset]
-    expg = np.zeros((q, q))
-    for a in range(q):
-        for b in range(q):
-            gab = model.g[a][b]
-            expg[a, b] = 0.0 if gab == NEG_INF else math.exp(gab)
+    expg = model.exp_tables[1]
 
     states = []
     weights = []
@@ -594,66 +590,6 @@ def skeleton_joint(model, graph, block, boundary):
     probs = np.array(weights)
     probs /= probs.sum()
     return SkeletonJoint(w_vertices=W, states=states, probs=probs)
-
-
-def compose_block_law(model, graph, block, boundary):
-    """Joint law of the whole block from Q and per-piece tree laws.
-
-    Returns {config tuple over sorted block vertices: probability}; this
-    is the law the two-stage sampler (skeleton joint, then trees) draws
-    from, computed exactly for comparison against full enumeration.
-    """
-    joint = skeleton_joint(model, graph, block, boundary)
-    W = joint.w_vertices
-    wpos = {w: i for i, w in enumerate(W)}
-    allv = tuple(sorted(block.vertices))
-
-    piece_laws = []
-    for piece in block.pieces:
-        pset = set(piece.vertices)
-        pinned_base = {}
-        for u in pset:
-            for x in graph.adj[u]:
-                if x in pset or x == piece.root:
-                    continue
-                if x not in boundary:
-                    raise ValueError(
-                        f"boundary missing state for vertex {x}")
-                pinned_base[x] = boundary[x]
-        laws = {}
-        for x in range(model.q):
-            pinned = dict(pinned_base)
-            pinned[piece.root] = x
-            try:
-                tables = build_tree_tables(model, graph, piece.vertices,
-                                           pinned)
-            except BoundaryInfeasibleError:
-                laws[x] = None
-                continue
-            laws[x] = tree_law(tables)
-        piece_laws.append((piece, laws))
-
-    out = {}
-    for xi, qp in zip(joint.states, joint.probs):
-        partial = [({w: xi[wpos[w]] for w in W}, float(qp))]
-        for piece, laws in piece_laws:
-            law = laws[xi[wpos[piece.root]]]
-            if law is None:
-                partial = []
-                break
-            block_order = tuple(sorted(piece.vertices))
-            nxt = []
-            for assign, p in partial:
-                for cfg, pl in law.items():
-                    a = dict(assign)
-                    for u, x in zip(block_order, cfg):
-                        a[u] = x
-                    nxt.append((a, p * pl))
-            partial = nxt
-        for assign, p in partial:
-            key = tuple(assign[u] for u in allv)
-            out[key] = out.get(key, 0.0) + p
-    return out
 
 
 def law_tv(law_a, law_b):

@@ -142,27 +142,18 @@ def tree_law(tables):
     Exponential in the block size; meant for small blocks and oracles.
     """
     partial = [({}, 1.0)]
+    parent = tables.parent
     for v in tables.order:
-        if v in tables.parent:
-            nxt = []
-            for assign, p in partial:
-                cond = _child_conditional(tables, v, assign[tables.parent[v]])
-                for x in range(tables.model.q):
-                    if cond[x] > 0.0:
-                        a = dict(assign)
-                        a[v] = x
-                        nxt.append((a, p * cond[x]))
-            partial = nxt
-        else:
-            law = tree_root_law(tables, v)
-            nxt = []
-            for assign, p in partial:
-                for x in range(tables.model.q):
-                    if law[x] > 0.0:
-                        a = dict(assign)
-                        a[v] = x
-                        nxt.append((a, p * law[x]))
-            partial = nxt
+        nxt = []
+        for assign, p in partial:
+            law = (_child_conditional(tables, v, assign[parent[v]])
+                   if v in parent else tree_root_law(tables, v))
+            for x in range(tables.model.q):
+                if law[x] > 0.0:
+                    a = dict(assign)
+                    a[v] = x
+                    nxt.append((a, p * law[x]))
+        partial = nxt
     out = {}
     for assign, p in partial:
         key = tuple(assign[v] for v in tables.block)

@@ -13,13 +13,13 @@ import numpy as np
 
 from .blocks import Block, BlockPartition, Piece
 from .defaults import DEFAULTS
+from .dynamics import compose_block_law
 from .errors import BudgetExceededError, CheegerHypothesisError
 from .exact import (_path_congestion, block_composition_check,
-                    cheeger_bound, coloring_q_threshold, compose_block_law,
-                    enumerate_states, hardcore_activity_threshold,
-                    is_irreducible, law_tv, mixing_time, relaxation_time,
-                    sandwich_check, soft_norm_threshold, transition_matrix,
-                    tree_decay_check)
+                    cheeger_bound, coloring_q_threshold, enumerate_states,
+                    hardcore_activity_threshold, is_irreducible, law_tv,
+                    mixing_time, relaxation_time, sandwich_check,
+                    soft_norm_threshold, transition_matrix, tree_decay_check)
 from .graphs import Graph, bfs_distances
 from .models import coloring_model, hardcore_model, model_norm, soft_model
 from .records import BoundRecord, CheckRecord, Report

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 import glauberlab as gl
 from glauberlab import dynamics
 from glauberlab.cli import _scaling_start_pair
+from glauberlab.trees import _child_conditional
+from glauberlab.zoo import skeleton_block_cases
 
 
 def triangle():
@@ -452,3 +455,176 @@ class TestBlockLawCache:
             assert len(builds) == len(set(builds))
         else:
             assert len(builds) > len(set(builds))
+
+
+# The block-law builders as they stood when the exact layer kept its own
+# copy: per piece one tree law per root state, and a tree law with one
+# branch for roots and one for children.  compose_block_law and tree_law
+# must return equal dicts, in the same key order.
+
+def reference_tree_law(tables):
+    partial = [({}, 1.0)]
+    for v in tables.order:
+        if v in tables.parent:
+            nxt = []
+            for assign, p in partial:
+                cond = _child_conditional(tables, v, assign[tables.parent[v]])
+                for x in range(tables.model.q):
+                    if cond[x] > 0.0:
+                        a = dict(assign)
+                        a[v] = x
+                        nxt.append((a, p * cond[x]))
+            partial = nxt
+        else:
+            law = gl.tree_root_law(tables, v)
+            nxt = []
+            for assign, p in partial:
+                for x in range(tables.model.q):
+                    if law[x] > 0.0:
+                        a = dict(assign)
+                        a[v] = x
+                        nxt.append((a, p * law[x]))
+            partial = nxt
+    out = {}
+    for assign, p in partial:
+        key = tuple(assign[v] for v in tables.block)
+        out[key] = out.get(key, 0.0) + p
+    return out
+
+
+def reference_compose_block_law(model, graph, block, boundary):
+    joint = gl.skeleton_joint(model, graph, block, boundary)
+    W = joint.w_vertices
+    wpos = {w: i for i, w in enumerate(W)}
+    allv = tuple(sorted(block.vertices))
+
+    piece_laws = []
+    for piece in block.pieces:
+        pset = set(piece.vertices)
+        pinned_base = {}
+        for u in pset:
+            for x in graph.adj[u]:
+                if x in pset or x == piece.root:
+                    continue
+                if x not in boundary:
+                    raise ValueError(
+                        f"boundary missing state for vertex {x}")
+                pinned_base[x] = boundary[x]
+        laws = {}
+        for x in range(model.q):
+            pinned = dict(pinned_base)
+            pinned[piece.root] = x
+            try:
+                tables = gl.build_tree_tables(model, graph, piece.vertices,
+                                              pinned)
+            except gl.BoundaryInfeasibleError:
+                laws[x] = None
+                continue
+            laws[x] = reference_tree_law(tables)
+        piece_laws.append((piece, laws))
+
+    out = {}
+    for xi, qp in zip(joint.states, joint.probs):
+        partial = [({w: xi[wpos[w]] for w in W}, float(qp))]
+        for piece, laws in piece_laws:
+            law = laws[xi[wpos[piece.root]]]
+            if law is None:
+                partial = []
+                break
+            block_order = tuple(sorted(piece.vertices))
+            nxt = []
+            for assign, p in partial:
+                for cfg, pl in law.items():
+                    a = dict(assign)
+                    for u, x in zip(block_order, cfg):
+                        a[u] = x
+                    nxt.append((a, p * pl))
+            partial = nxt
+        for assign, p in partial:
+            key = tuple(assign[u] for u in allv)
+            out[key] = out.get(key, 0.0) + p
+    return out
+
+
+# Largest q^|block| a reference case may have: the composed law lists
+# every feasible block state.
+STATE_CAP = 5000
+
+
+class TestComposeBlockLaw:
+    def test_cases_equal_reference(self):
+        for name, model, graph, block, boundary in skeleton_block_cases():
+            got = gl.compose_block_law(model, graph, block, boundary)
+            want = reference_compose_block_law(model, graph, block,
+                                               boundary)
+            assert list(got.items()) == list(want.items()), name
+
+    @pytest.mark.parametrize("model", [
+        gl.hardcore_model(1.0), gl.hardcore_model(-0.4),
+        gl.soft_model((0.0, 0.3), ((-0.98, 0.25), (0.25, 0.5)))],
+        ids=["hardcore-1.0", "hardcore-neg0.4", "soft-q2"])
+    def test_populated_blocks_equal_reference(self, populated_partition,
+                                              model):
+        g, part = populated_partition
+        blocks = [b for b in part.blocks if b.kind == "skeleton"
+                  and model.q ** len(b.vertices) <= STATE_CAP]
+        assert blocks
+        rng = gl.make_rng(5, "compose-reference")
+        cfg = list(gl.initial_configuration(model, g))
+        seen = set()
+        for step in range(1, 3001):
+            gl.block_step(model, g, part, cfg, rng)
+            if step % 100:
+                continue
+            for block in blocks:
+                ext = gl.exterior_boundary(g, block.vertices)
+                boundary = {w: cfg[w] for w in ext}
+                key = (block.vertices, tuple(boundary.items()))
+                if key in seen:
+                    continue
+                seen.add(key)
+                got = gl.compose_block_law(model, g, block, boundary)
+                want = reference_compose_block_law(model, g, block,
+                                                   boundary)
+                assert list(got.items()) == list(want.items())
+        assert len(seen) > len(blocks)
+
+    def test_tree_law_equals_reference(self):
+        rng = gl.make_rng(6, "tree-law-reference")
+        models = [gl.coloring_model(3), gl.hardcore_model(0.8),
+                  gl.hardcore_model(-1.2),
+                  gl.soft_model((0.1, -0.2, 0.3),
+                                ((-0.98, 0.4, -0.3), (0.4, 0.2, -0.5),
+                                 (-0.3, -0.5, 0.7)))]
+        compared = 0
+        while compared < 200:
+            model = models[rng.randrange(len(models))]
+            tree = gl.random_tree(rng.randint(2, 12), seed=rng.randrange(99))
+            size = rng.randint(1, tree.n)
+            while model.q ** size > STATE_CAP:
+                size -= 1
+            block = rng.sample(range(tree.n), size)
+            boundary = {w: rng.randrange(model.q)
+                        for w in gl.exterior_boundary(tree, block)}
+            try:
+                tables = gl.build_tree_tables(model, tree, block, boundary)
+            except gl.BoundaryInfeasibleError:
+                continue
+            got = gl.tree_law(tables)
+            want = reference_tree_law(tables)
+            assert list(got.items()) == list(want.items())
+            compared += 1
+
+    def test_tree_block_is_rejected(self, populated_partition):
+        g, part = populated_partition
+        block = next(b for b in part.blocks if b.kind == "tree")
+        boundary = {w: 0 for w in gl.exterior_boundary(g, block.vertices)}
+        with pytest.raises(ValueError):
+            gl.compose_block_law(gl.hardcore_model(0.0), g, block, boundary)
+
+    def test_missing_boundary_vertex_is_rejected(self):
+        name, model, graph, block, boundary = next(
+            c for c in skeleton_block_cases() if c[0] == "tri-tail-q3")
+        assert boundary
+        with pytest.raises(ValueError, match="boundary missing state"):
+            gl.compose_block_law(model, graph, block, {})

@@ -417,6 +417,21 @@ class TestSkeletonJoint:
             exact = {s: p for s, p in zip(full.states, full.pi)}
             assert gl.law_tv(composed, exact) <= 1e-12, name
 
+    def test_soft_pair_weights_are_the_model_table(self):
+        # exp(-0.98) rounds differently under math.exp and np.exp, so the
+        # joint and the tree tables agree only if both read exp_tables
+        model = gl.soft_model((0.0, 0.3), ((-0.98, 0.25), (0.25, 0.5)))
+        exph, expg = model.exp_tables
+        assert math.exp(-0.98) != expg[0, 0]
+        joint = gl.skeleton_joint(model, edge(),
+                                  gl.Block("skeleton", (0, 1),
+                                           skeleton=(0, 1)), {})
+        field = exph / exph.max()
+        w = np.array([field[a] * field[b] * expg[a, b]
+                      for a in range(2) for b in range(2)])
+        assert joint.states == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert np.array_equal(joint.probs, w / w.sum())
+
     def test_sample_matches_law(self):
         name, model, graph, block, boundary = skeleton_block_cases()[0]
         joint = gl.skeleton_joint(model, graph, block, boundary)

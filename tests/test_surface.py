@@ -4,8 +4,11 @@ A name counts as called when it appears in another package module (not
 ``__init__.py``), in its own module outside its definition, in the
 acceptance gate or in the benchmark harness. ``perfbench/`` and the gate
 are read as text only. A public name that only its own unit tests use
-fails here: delete it, or give it a caller.  Likewise every flag a CLI
-command accepts is read by the code that command runs.
+fails here: delete it, or give it a caller.  A private top-level
+function or class must be used by the package itself, in its own module
+outside its definition or in another module: a helper that only tests
+use fails.  Likewise every flag a CLI command accepts is read by the code
+that command runs.
 """
 
 import argparse
@@ -40,13 +43,14 @@ def module_texts():
     return {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 
 
-def public_definitions():
-    """(module, name, module text outside the definition) per public name."""
+def definitions(private=False):
+    """(module, name, module text outside the definition) per public name,
+    or per private one."""
     for stem, text in module_texts().items():
         lines = text.splitlines(keepends=True)
         for node in ast.parse(text).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
+                    and node.name.startswith("_") == private):
                 first = min([node.lineno] +
                             [d.lineno for d in node.decorator_list])
                 outside = lines[:first - 1] + lines[node.end_lineno:]
@@ -54,7 +58,7 @@ def public_definitions():
 
 
 def test_allowlist_names_exist():
-    assert ALLOWED <= {name for _, name, _ in public_definitions()}
+    assert ALLOWED <= {name for _, name, _ in definitions()}
 
 
 def test_every_public_name_has_a_caller():
@@ -63,13 +67,24 @@ def test_every_public_name_has_a_caller():
     readers.append(ROOT / "tests" / "test_acceptance.py")
     called = words("\n".join(p.read_text() for p in readers))
     uncalled = []
-    for stem, name, own in public_definitions():
+    for stem, name, own in definitions():
         others = "\n".join(text for other, text in texts.items()
                            if other not in (stem, "__init__"))
         if not (name in ALLOWED or name in called or name in words(own)
                 or name in words(others)):
             uncalled.append(f"{stem}.{name}")
     assert not uncalled, f"public names without a caller: {uncalled}"
+
+
+def test_every_private_name_is_used_in_the_package():
+    texts = module_texts()
+    unused = []
+    for stem, name, own in definitions(private=True):
+        others = "\n".join(text for other, text in texts.items()
+                           if other != stem)
+        if name not in words(own) and name not in words(others):
+            unused.append(f"{stem}.{name}")
+    assert not unused, f"private names the package never uses: {unused}"
 
 
 def args_read(source):
