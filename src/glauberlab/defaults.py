@@ -16,7 +16,8 @@ DEFAULTS = {
     # Vertex-expansion budget for graph searches (hypothesis checking,
     # skeleton rule scans).
     "node_budget": 10 ** 8,
-    # Maximum number of configurations an exact enumeration may hold.
+    # Most rows any level of an exact enumeration may hold: partial
+    # assignments count as well as complete states, so it caps memory.
     "state_budget": 200_000,
     # Step cap for exact mixing-time searches.
     "mixing_horizon": 10 ** 6,

@@ -48,12 +48,19 @@ def enumerate_states(model, graph, budget=DEFAULTS["state_budget"],
                      vertices=None, boundary=None):
     """All feasible configurations on ``vertices`` with their Gibbs law.
 
-    Depth-first over vertices in sorted order, pruning any partial
-    assignment that already hits a hard constraint, so states come out in
-    lexicographic order.  ``boundary`` pins outside neighbors; passing
-    None treats the subset as its induced subgraph (edges leaving it are
-    ignored), while a dict requires every outside neighbor to be pinned.
-    Boundary-boundary edges never contribute (they are constant anyway).
+    A level sweep over vertices in sorted order: the partial assignments
+    are the rows of one small-int array, and each vertex extends every
+    row by each of its q states in turn, so states come out in
+    lexicographic order.  A new row scores h[x], then g against each
+    earlier neighbor in the subset, then g against each pinned neighbor
+    (both in adjacency order), adds that sum to its running log weight,
+    and is dropped if the sum is -inf (a hard constraint).  ``budget``
+    caps the rows any level holds, partial assignments included, so it
+    bounds memory and work as well as the states returned.
+    ``boundary`` pins outside neighbors; passing None treats the subset
+    as its induced subgraph (edges leaving it are ignored), while a dict
+    requires every outside neighbor to be pinned.  Boundary-boundary
+    edges never contribute (they are constant anyway).
     """
     if vertices is None:
         vertices = tuple(range(graph.n))
@@ -69,68 +76,39 @@ def enumerate_states(model, graph, budget=DEFAULTS["state_budget"],
                     raise ValueError(
                         f"neighbor {w} of vertex {v} has no boundary state")
     pos = {v: i for i, v in enumerate(vertices)}
-
-    # Per vertex: the neighbors already assigned (earlier in the order).
-    earlier = []
+    h = np.array(model.h, dtype=float)
+    g = np.array(model.g, dtype=float)
+    # rows[k] is a partial assignment and acc[k] its log weight so far;
+    # the empty assignment is the one row of the first level
+    rows = np.zeros((1, 0), dtype=np.min_scalar_type(model.q - 1))
+    acc = np.zeros(1)
+    if len(rows) > budget:
+        raise BudgetExceededError(f"state budget {budget} exceeded")
     for i, v in enumerate(vertices):
-        earlier.append([pos[w] for w in graph.adj[v] if w in vset
-                        and pos[w] < i])
-
-    def score(i, x):
-        """Weight of state x at position i against the earlier positions
-        and the boundary, or None if it breaks a hard constraint."""
-        s = model.h[x]
-        for j in earlier[i]:
-            gxy = model.g[x][assign[j]]
-            if gxy == NEG_INF:
-                return None
-            s += gxy
-        for w in graph.adj[vertices[i]]:
+        # s[k, x] scores row k extended by state x; g is symmetric, so
+        # g[y] holds g[x, y] for every x
+        s = np.repeat(h[None, :], len(rows), axis=0)
+        for w in graph.adj[v]:
+            if w in vset and pos[w] < i:
+                s += g[rows[:, pos[w]]]
+        for w in graph.adj[v]:
             if w in boundary:
-                gxb = model.g[x][boundary[w]]
-                if gxb == NEG_INF:
-                    return None
-                s += gxb
-        return s
+                s += g[boundary[w]]
+        k, x = np.nonzero(s != NEG_INF)
+        rows = np.column_stack([rows[k], x.astype(rows.dtype)])
+        acc = acc[k] + s[k, x]
+        if len(rows) > budget:
+            raise BudgetExceededError(f"state budget {budget} exceeded")
 
-    # An explicit stack, so long vertex lists cannot hit the recursion
-    # limit: acc[i] is the weight of the positions before i, and nxt[i]
-    # the next state to try at position i.
-    n = len(vertices)
-    states = []
-    logw = []
-    assign = [0] * n
-    acc = [0.0] * (n + 1)
-    nxt = [0] * n
-    i = 0
-    while i >= 0:
-        if i == n:
-            if len(states) >= budget:
-                raise BudgetExceededError(f"state budget {budget} exceeded")
-            states.append(tuple(assign))
-            logw.append(acc[n])
-            i -= 1
-            continue
-        x = nxt[i]
-        if x == model.q:
-            nxt[i] = 0
-            i -= 1
-            continue
-        nxt[i] = x + 1
-        s = score(i, x)
-        if s is not None:
-            assign[i] = x
-            acc[i + 1] = acc[i] + s
-            i += 1
-
+    states = list(map(tuple, rows.tolist()))
     if states:
-        arr = np.array(logw)
-        w = np.exp(arr - arr.max())
+        w = np.exp(acc - acc.max())
         pi = w / w.sum()
     else:
         pi = np.zeros(0)
     return ExactChain(model=model, graph=graph, vertices=vertices,
-                      boundary=boundary, states=states, logw=logw, pi=pi)
+                      boundary=boundary, states=states, logw=acc.tolist(),
+                      pi=pi)
 
 
 def _resample_kernel(chain, groups):
@@ -568,28 +546,23 @@ def skeleton_joint(model, graph, block, boundary):
               if u in wset and v in wset]
     expg = model.exp_tables[1]
 
-    states = []
-    weights = []
-    for xi in itertools.product(range(q), repeat=len(W)):
-        w_val = 1.0
-        for w in W:
-            w_val *= fields[w][xi[wpos[w]]]
-            if w_val == 0.0:
-                break
-        else:
-            for a, b in wedges:
-                w_val *= expg[xi[a], xi[b]]
-                if w_val == 0.0:
-                    break
-        if w_val > 0.0:
-            states.append(xi)
-            weights.append(w_val)
-    if not states:
+    # every assignment as a row, in lexicographic order
+    xi = np.indices((q,) * len(W), dtype=np.min_scalar_type(q - 1))
+    xi = xi.reshape(len(W), -1).T
+    weights = np.ones(len(xi))
+    for i, w in enumerate(W):
+        weights *= fields[w][xi[:, i]]
+    for a, b in wedges:
+        weights *= expg[xi[:, a], xi[:, b]]
+    keep = weights > 0.0
+    if not keep.any():
         raise BoundaryInfeasibleError(
             "no feasible skeleton state under the given boundary")
-    probs = np.array(weights)
+    probs = weights[keep]
     probs /= probs.sum()
-    return SkeletonJoint(w_vertices=W, states=states, probs=probs)
+    return SkeletonJoint(w_vertices=W,
+                         states=list(map(tuple, xi[keep].tolist())),
+                         probs=probs)
 
 
 def law_tv(law_a, law_b):

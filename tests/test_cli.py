@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -453,11 +455,28 @@ class TestExactLongPath:
         assert payload["degenerate"]
 
     def test_three_colourings_exceed_the_budget(self, tmp_path):
-        # a small budget keeps the stored 1500-tuples small
+        # the sweep's tenth level holds 3 * 2^9 > 1000 partial colourings
         gp, mp = long_path_files(tmp_path, 3)
         code = main(["exact", "--model", str(mp), "--graph", str(gp),
                      "--budget", "1000", "--out", str(tmp_path / "x.json")])
         assert code == 2
+
+    def test_three_colourings_trip_the_default_budget_quickly(self, tmp_path):
+        # partial colourings count against the budget, so the sweep stops
+        # at its 18th level, 3 * 2^17 rows, long before 3 * 2^1499 states
+        gp, mp = long_path_files(tmp_path, 3)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(["exact", "--model", str(mp), "--graph", str(gp),
+                         "--out", str(tmp_path / "x.json")])
+            took = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert took < 20.0
+        assert peak < 200 * 2 ** 20
 
 
 class TestVerify:
