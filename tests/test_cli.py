@@ -489,6 +489,14 @@ class TestVerify:
         assert payload["counts"] == {"passed": 10, "failed": 0,
                                      "skipped": 0}
 
+    def test_all_suites_payload_is_pinned(self, tmp_path):
+        out = tmp_path / "v.json"
+        assert main(["verify", "--suite", "all", "--out", str(out)]) == 0
+        assert payload_digest(out) == "b433d1797b15ba71"
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["counts"] == {"passed": 459, "failed": 0,
+                                     "skipped": 205}
+
     def test_unknown_suite_is_invalid(self):
         assert main(["verify", "--suite", "bogus"]) == 3
 
