@@ -291,8 +291,8 @@ def compose_block_law(model, graph, block, boundary):
 
     The law block_step draws from, read off the same block laws: the
     skeleton joint, then for each of its states each piece's tree law
-    given its root.  Computed exactly, for comparison against full
-    enumeration.
+    given its root (worked out once per root state).  Computed exactly,
+    for comparison against full enumeration.
     """
     if block.kind != "skeleton":
         raise ValueError(f"a {block.kind} block has no skeleton joint")
@@ -304,12 +304,17 @@ def compose_block_law(model, graph, block, boundary):
     joint = laws.law(0, None, config)
     allv = tuple(sorted(block.vertices))
     piece_verts = [tuple(sorted(piece.vertices)) for piece in block.pieces]
+    piece_laws = {}
     out = {}
     for xi, qp in zip(joint.states, joint.probs):
         config.update(zip(joint.w_vertices, xi))
-        piece_laws = [tree_law(laws.law(0, i, config)).items()
-                      for i in range(len(piece_verts))]
-        for combo in itertools.product(*piece_laws):
+        combos = []
+        for i, piece in enumerate(block.pieces):
+            key = (i, config[piece.root])
+            if key not in piece_laws:
+                piece_laws[key] = tree_law(laws.law(0, i, config)).items()
+            combos.append(piece_laws[key])
+        for combo in itertools.product(*combos):
             p = float(qp)
             for verts, (cfg, pl) in zip(piece_verts, combo):
                 config.update(zip(verts, cfg))

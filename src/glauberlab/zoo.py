@@ -1,15 +1,14 @@
 """Built-in instance collections and the named verification suites.
 
-Graph collections are enumerated up to isomorphism with deterministic
-names, so test pins and CLI reports stay stable across runs.
+The graph censuses are listed data: one graph6 string per isomorphism
+class, in a fixed order that also fixes the names, so test pins and CLI
+reports stay stable.  tests/test_zoo.py regenerates both by brute force.
 """
 
 import functools
 import heapq
 import itertools
 import math
-
-import numpy as np
 
 from .blocks import Block, BlockPartition, Piece
 from .defaults import DEFAULTS
@@ -20,21 +19,27 @@ from .exact import (_path_congestion, block_composition_check,
                     hardcore_activity_threshold, is_irreducible, law_tv,
                     mixing_time, relaxation_time, sandwich_check,
                     soft_norm_threshold, transition_matrix, tree_decay_check)
-from .graphs import Graph, bfs_distances
+from .graphs import Graph
 from .models import coloring_model, hardcore_model, model_norm, soft_model
 from .records import BoundRecord, CheckRecord, Report
 from .rng import make_rng
 
+_CONNECTED_G6 = (
+    "@ A_ Bo Bw Cs Cq C{ Cr C} C~ Ds_ DsO DqG D{_ D{O D{C DsW DqK D}_ D{c D}G "
+    "D{S Ds[ D}o D~_ D}g D}K D~o D}k D~w D~{").split()
+_REGULAR_G6 = (
+    "@ A? A_ B? Bw C? C` C] C~ D?? DqK D~{ E??? E`?G EwCW EqGW EFz_ ELv_ E]~o "
+    "E~~w F???? FwCOW FqGOW FFzn_ FLvn_ F~~~w G????? G`?G?C GwCOOK Gr?GOK "
+    "GqGOOK G~?GW[ G}GOW[ G{S_g[ G{O_ww GsXP_[ GsXPGs G?~vf_ G@vnf_ GBj^V_ "
+    "GBn^FC GJem^_ GJemvG GFznno GK~vno GLvnno G]~v~w G~~~~{").split()
 
-def _canonical_edges(n, edges):
-    best = None
-    for perm in itertools.permutations(range(n)):
-        mapped = tuple(sorted(
-            (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-            for u, v in edges))
-        if best is None or mapped < best:
-            best = mapped
-    return best
+
+def _from_graph6(code):
+    """The graph a graph6 string (at most 62 vertices) encodes."""
+    n = ord(code[0]) - 63
+    bits = "".join(f"{ord(c) - 63:06b}" for c in code[1:])
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return Graph(n, [p for p, b in zip(pairs, bits) if b == "1"])
 
 
 @functools.lru_cache(maxsize=None)
@@ -45,144 +50,27 @@ def connected_graphs():
     then edge count, then canonical edge list.
     """
     out = []
-    for n in range(1, 6):
-        pairs = list(itertools.combinations(range(n), 2))
-        reps = set()
-        for bits in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-            if len(edges) < n - 1 or \
-                    len(bfs_distances(Graph(n, edges), 0)) < n:
-                continue
-            reps.add(_canonical_edges(n, tuple(edges)))
-        for k, edges in enumerate(sorted(reps, key=lambda e: (len(e), e)),
-                                  start=1):
-            out.append((f"G{n}.{k}", Graph(n, edges)))
+    for code in _CONNECTED_G6:
+        g = _from_graph6(code)
+        k = sum(1 for _, h in out if h.n == g.n) + 1
+        out.append((f"G{g.n}.{k}", g))
     return tuple(out)
-
-
-def _graph_invariant(n, adjset):
-    mat = np.zeros((n, n))
-    for u, v in adjset:
-        mat[u, v] = mat[v, u] = 1.0
-    eigs = tuple(round(float(x), 6) for x in np.linalg.eigvalsh(mat))
-    tri = sum(1 for a, b, c in itertools.combinations(range(n), 3)
-              if (a, b) in adjset and (a, c) in adjset and (b, c) in adjset)
-    return eigs, tri
-
-
-def _isomorphic(n, ea, eb):
-    adj_a = [set() for _ in range(n)]
-    adj_b = [set() for _ in range(n)]
-    for u, v in ea:
-        adj_a[u].add(v)
-        adj_a[v].add(u)
-    for u, v in eb:
-        adj_b[u].add(v)
-        adj_b[v].add(u)
-    if sorted(map(len, adj_a)) != sorted(map(len, adj_b)):
-        return False
-    mapping = [None] * n
-    used = [False] * n
-
-    def extend(i):
-        if i == n:
-            return True
-        for cand in range(n):
-            if used[cand] or len(adj_b[cand]) != len(adj_a[i]):
-                continue
-            ok = True
-            for j in range(i):
-                if ((j in adj_a[i]) ==
-                        (mapping[j] in adj_b[cand])):
-                    continue
-                ok = False
-                break
-            if ok:
-                mapping[i] = cand
-                used[cand] = True
-                if extend(i + 1):
-                    return True
-                used[cand] = False
-        return False
-
-    return extend(0)
-
-
-def _regular_candidates(n, d):
-    """Labeled d-regular graphs on n vertices, N0 forced to {1..d}."""
-    results = []
-    adj = [set() for _ in range(n)]
-    residual = [d] * n
-
-    def take(u, v):
-        adj[u].add(v)
-        adj[v].add(u)
-        residual[u] -= 1
-        residual[v] -= 1
-
-    def drop(u, v):
-        adj[u].discard(v)
-        adj[v].discard(u)
-        residual[u] += 1
-        residual[v] += 1
-
-    def rec():
-        u = next((x for x in range(n) if residual[x] > 0), None)
-        if u is None:
-            results.append(frozenset(
-                (a, b) for a in range(n) for b in adj[a] if a < b))
-            return
-        cands = [v for v in range(u + 1, n)
-                 if residual[v] > 0 and v not in adj[u]]
-        if len(cands) < residual[u]:
-            return
-        for chosen in itertools.combinations(cands, residual[u]):
-            for v in chosen:
-                take(u, v)
-            rec()
-            for v in chosen:
-                drop(u, v)
-
-    if d == 0:
-        return [frozenset()]
-    for v in range(1, d + 1):
-        take(0, v)
-    rec()
-    return results
-
-
-def _regular_classes(n, d):
-    """Isomorphism classes of d-regular graphs on n vertices (edge sets)."""
-    if n * d % 2 or d > n - 1:
-        return []
-    if 2 * d > n - 1:
-        # Complementing is a bijection between d- and (n-1-d)-regular
-        # classes; generate the sparse side.
-        comps = _regular_classes(n, n - 1 - d)
-        full = set(itertools.combinations(range(n), 2))
-        return [sorted(full - set(edges)) for edges in comps]
-    reps = []
-    buckets = {}
-    for cand in _regular_candidates(n, d):
-        inv = _graph_invariant(n, cand)
-        known = buckets.setdefault(inv, [])
-        if any(_isomorphic(n, cand, other) for other in known):
-            continue
-        known.append(cand)
-        reps.append(sorted(cand))
-    reps.sort()
-    return reps
 
 
 @functools.lru_cache(maxsize=None)
 def regular_graphs():
     """All regular graphs (any degree, connectivity not required) on
-    1..8 vertices up to isomorphism, as [(name, degree, Graph)]."""
+    1..8 vertices up to isomorphism, as [(name, degree, Graph)].
+
+    Ordered by vertex count, then degree, then sorted edge list (the
+    complement's, where the degree exceeds (n - 1) / 2).
+    """
     out = []
-    for n in range(1, 9):
-        for d in range(n):
-            for i, edges in enumerate(_regular_classes(n, d), start=1):
-                out.append((f"reg{d}-n{n}-{i}", d, Graph(n, edges)))
+    for code in _REGULAR_G6:
+        g = _from_graph6(code)
+        d = g.degree(0)
+        i = sum(1 for _, e, h in out if (h.n, e) == (g.n, d)) + 1
+        out.append((f"reg{d}-n{g.n}-{i}", d, g))
     return tuple(out)
 
 
@@ -352,26 +240,34 @@ def _skip(report, instance, reason):
                            witness={"instance": instance, "reason": reason}))
 
 
+@functools.lru_cache(maxsize=1)
 def _zoo_chains(state_budget):
-    """Yield (instance, chain) for every model x connected graph that is
+    """(instance, chain) for every model x connected graph that is
     feasible, irreducible, and within budget; infeasible or degenerate
-    combinations come out as (instance, reason string)."""
+    combinations come out as (instance, reason string).
+
+    Built once per state budget and shared by the sandwich, cheeger and
+    canonical suites, so each chain's P and pi are made read-only.
+    """
+    out = []
     for mname, model in model_grid():
         for gname, graph in connected_graphs():
             instance = f"{mname}/{gname}"
             try:
                 chain = enumerate_states(model, graph, budget=state_budget)
             except BudgetExceededError:
-                yield instance, "state budget exceeded"
+                out.append((instance, "state budget exceeded"))
                 continue
             if not chain.states:
-                yield instance, "no feasible configuration"
+                out.append((instance, "no feasible configuration"))
                 continue
             transition_matrix(chain, lazy=True)
             if not is_irreducible(chain):
-                yield instance, "reducible chain"
+                out.append((instance, "reducible chain"))
                 continue
-            yield instance, chain
+            chain.P.flags.writeable = chain.pi.flags.writeable = False
+            out.append((instance, chain))
+    return tuple(out)
 
 
 def suite_sandwich(state_budget=DEFAULTS["state_budget"],
@@ -411,21 +307,20 @@ def suite_cheeger(state_budget=DEFAULTS["state_budget"],
 def suite_canonical(state_budget=DEFAULTS["state_budget"]):
     tol = 1e-9
     report = Report()
-    for mname, model in model_grid():
-        if model.kind != "hardcore":
+    for instance, chain in _zoo_chains(state_budget):
+        if not instance.startswith("hardcore-"):
             continue
-        for gname, graph in connected_graphs():
-            instance = f"{mname}/{gname}"
-            chain = transition_matrix(
-                enumerate_states(model, graph, budget=state_budget),
-                lazy=True)
-            cp = _path_congestion(chain)
-            tau = relaxation_time(chain)
-            report.add(BoundRecord(instance=instance,
-                                   bound_name="canonical-path",
-                                   bound_value=cp.bound, exact_value=tau,
-                                   passed=tau <= cp.bound + tol,
-                                   tolerance=tol))
+        if isinstance(chain, str):
+            # every hardcore chain on a connected graph is feasible and
+            # irreducible, so only a small budget skips one
+            raise BudgetExceededError(f"state budget {state_budget} exceeded")
+        cp = _path_congestion(chain)
+        tau = relaxation_time(chain)
+        report.add(BoundRecord(instance=instance,
+                               bound_name="canonical-path",
+                               bound_value=cp.bound, exact_value=tau,
+                               passed=tau <= cp.bound + tol,
+                               tolerance=tol))
     return report
 
 

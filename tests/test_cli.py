@@ -497,6 +497,32 @@ class TestVerify:
         assert payload["counts"] == {"passed": 459, "failed": 0,
                                      "skipped": 205}
 
+    def test_zoo_chains_follow_the_budget(self, tmp_path):
+        # the zoo chains are built once per budget: a smaller budget in
+        # the same process neither reads nor spoils the default's chains
+        small = [tmp_path / f"small-{i}.json" for i in range(2)]
+        full = tmp_path / "full.json"
+        small_args = ["verify", "--suite", "sandwich", "--budget", "50"]
+        assert main(small_args + ["--out", str(small[0])]) == 0
+        assert main(["verify", "--suite", "all", "--out", str(full)]) == 0
+        assert main(small_args + ["--out", str(small[1])]) == 0
+        assert payload_digest(full) == "b433d1797b15ba71"
+        fresh = tmp_path / "fresh.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "glauberlab"] + small_args
+            + ["--out", str(fresh)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert payload_digest(small[0]) == payload_digest(fresh)
+        assert payload_digest(small[1]) == payload_digest(fresh)
+        # budget 50 skips chains that the default budget builds
+        records = json.loads(full.read_text())["payload"]["records"]
+        counts = json.loads(fresh.read_text())["payload"]["counts"]
+        assert counts["skipped"] > sum(
+            1 for r in records
+            if r["suite"] == "sandwich" and r.get("check") == "skipped")
+
     def test_unknown_suite_is_invalid(self):
         assert main(["verify", "--suite", "bogus"]) == 3
 
