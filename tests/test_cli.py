@@ -431,6 +431,26 @@ class TestExact:
         assert payload["detailed_balance_gap"] == 0.0
         assert all(r["pass"] for r in payload["records"])
 
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "3305eaa3f1e7d9cb"), (["--no-lazy"], "b73605a853c38a2b")])
+    def test_path_payload_and_dump_are_pinned(self, tmp_path, monkeypatch,
+                                              flags, digest):
+        # 3-colourings of the 9-vertex path, 768 states; relative file
+        # names, since every record's instance carries them
+        monkeypatch.chdir(tmp_path)
+        gl.write_model(gl.coloring_model(3), "model.json")
+        gl.write_edge_list(gl.Graph(9, [(i, i + 1) for i in range(8)]),
+                           "graph.txt")
+        assert main(["exact", "--model", "model.json", "--graph",
+                     "graph.txt", "--out", "ex.json",
+                     "--dump", "chain.txt"] + flags) == 0
+        assert json.loads(Path("ex.json").read_text())["payload"][
+            "states"] == 768
+        assert payload_digest(Path("ex.json")) == digest
+        if not flags:  # the lazy chain's dump
+            dump = hashlib.sha256(Path("chain.txt").read_bytes()).hexdigest()
+            assert dump[:16] == "8c9529b7cf141f14"
+
 
 def long_path_files(tmp_path, q):
     n = 1500
