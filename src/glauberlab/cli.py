@@ -178,14 +178,14 @@ def cmd_exact(args, cfg):
     model = read_model(args.model)
     g = read_edge_list(args.graph)
     chain = enumerate_states(model, g, budget=args.state_budget)
-    if not chain.states:
+    if not len(chain.pi):
         payload = {"states": 0, "note": "no feasible configuration"}
         return _emit(args, "exact", payload, code=EXIT_FAIL)
     transition_matrix(chain, lazy=not args.no_lazy)
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:
             fh.write(format_chain_dump(chain))
-    payload = {"states": len(chain.states),
+    payload = {"states": len(chain.pi),
                "detailed_balance_gap": detailed_balance_gap(chain),
                "min_pi": float(chain.pi.min())}
     code = EXIT_PASS

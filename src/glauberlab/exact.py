@@ -6,9 +6,9 @@ block-composition bound is checked against exact relaxation and mixing
 times.  Everything here is for instances small enough to enumerate.
 """
 
-import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -28,20 +28,29 @@ EIG_TOLERANCE = 1e-10
 
 @dataclass
 class ExactChain:
+    """Row k of ``X`` (S, n; the smallest unsigned type holding q-1) is
+    state k, column i the state of ``vertices[i]``, rows in lexicographic
+    order.  ``logw`` (float64) holds the unnormalized log Gibbs weights,
+    ``pi`` their law and ``P`` the (S, S) kernel once built.  ``states``
+    is a tuple view of ``X``, derived on first use.
+    """
     model: object
     graph: object
     vertices: tuple
     boundary: dict
-    states: list
-    logw: list
+    X: np.ndarray
+    logw: np.ndarray
     pi: np.ndarray
     P: np.ndarray = None
-    _index: dict = field(default=None, repr=False)
 
-    def index(self, state):
-        if self._index is None:
-            self._index = {s: i for i, s in enumerate(self.states)}
-        return self._index[state]
+    @cached_property
+    def states(self):
+        return list(map(tuple, self.X.tolist()))
+
+    @cached_property
+    def index(self):
+        """Maps a state tuple to its row."""
+        return {s: i for i, s in enumerate(self.states)}.__getitem__
 
 
 def enumerate_states(model, graph, budget=DEFAULTS["state_budget"],
@@ -100,15 +109,13 @@ def enumerate_states(model, graph, budget=DEFAULTS["state_budget"],
         if len(rows) > budget:
             raise BudgetExceededError(f"state budget {budget} exceeded")
 
-    states = list(map(tuple, rows.tolist()))
-    if states:
+    if len(rows):
         w = np.exp(acc - acc.max())
         pi = w / w.sum()
     else:
         pi = np.zeros(0)
     return ExactChain(model=model, graph=graph, vertices=vertices,
-                      boundary=boundary, states=states, logw=acc.tolist(),
-                      pi=pi)
+                      boundary=boundary, X=rows, logw=acc, pi=pi)
 
 
 def _resample_kernel(chain, groups):
@@ -121,20 +128,20 @@ def _resample_kernel(chain, groups):
     underflow where the class law does not).  Groups add in order, so
     each diagonal entry sums in group order.
     """
-    S = len(chain.states)
-    X = np.array(chain.states, dtype=np.int64).reshape(S, len(chain.vertices))
-    logw = np.array(chain.logw)
+    X, logw = chain.X, chain.logw
+    S, n = X.shape
     # with no group to redraw, every state stays put
     P = np.zeros((S, S)) if groups else np.eye(S)
     for group in groups:
-        rest = np.delete(X, group, axis=1)
-        # equal rows end up adjacent; lexsort needs at least one key
-        order = np.lexsort(rest.T) if rest.shape[1] else np.arange(S)
-        rest = rest[order]
-        first = np.ones(S, dtype=bool)
-        first[1:] = (rest[1:] != rest[:-1]).any(axis=1)
-        starts = np.flatnonzero(first)
-        sizes = np.diff(np.append(starts, S))
+        # a row with the group's columns zeroed, read as one opaque key,
+        # names its class; a stable sort keeps members in ascending order
+        rest = X.copy()
+        rest[:, group] = 0
+        keys = rest.view(np.dtype((np.void, n * X.itemsize)))[:, 0]
+        inverse = np.unique(keys, return_inverse=True)[1]
+        order = np.argsort(inverse, kind="stable")
+        sizes = np.bincount(inverse)
+        starts = np.cumsum(sizes) - sizes
         # Classes of one size at a time, as rows of an index matrix.
         for m in set(sizes.tolist()):
             cls = order[starts[sizes == m][:, None] + np.arange(m)]
@@ -165,7 +172,7 @@ def detailed_balance_gap(chain):
 
 
 def is_irreducible(chain):
-    S = len(chain.states)
+    S = len(chain.pi)
     if S <= 1:
         return S == 1
     support = chain.P > 0
@@ -197,9 +204,9 @@ def relaxation_time(chain):
     """
     if chain.P is None:
         raise ValueError("transition matrix not built")
-    if len(chain.states) == 0:
+    if len(chain.pi) == 0:
         raise DegenerateChainError("empty state space")
-    if len(chain.states) == 1:
+    if len(chain.pi) == 1:
         return 1.0
     if not is_irreducible(chain):
         raise DegenerateChainError("chain is reducible")
@@ -230,8 +237,7 @@ def mixing_time(chain, horizon=DEFAULTS["mixing_horizon"]):
     """
     if chain.P is None:
         raise ValueError("transition matrix not built")
-    S = len(chain.states)
-    if _worst_tv(np.eye(S), chain.pi) <= TV_TARGET:
+    if _worst_tv(np.eye(len(chain.pi)), chain.pi) <= TV_TARGET:
         return 0
     pows = [chain.P]
     t = 1
@@ -269,7 +275,7 @@ def sandwich_check(chain, instance="", horizon=DEFAULTS["mixing_horizon"],
         tau = relaxation_time(chain)
     if tmix is None:
         tmix = mixing_time(chain, horizon=horizon)
-    if len(chain.states) == 1:
+    if len(chain.pi) == 1:
         # stationary from the start, one state relaxes in 0 steps as it
         # mixes in 0 (relaxation_time's 1.0 takes the missing gap as 1)
         tau = 0.0
@@ -304,7 +310,7 @@ def cheeger_bound(chain):
     """
     if chain.P is None:
         raise ValueError("transition matrix not built")
-    S = len(chain.states)
+    S = len(chain.pi)
     if S < 2:
         raise CheegerHypothesisError("no state pairs to bound")
     vals = (chain.pi[:, None] * chain.P)[~np.eye(S, dtype=bool)]
@@ -339,29 +345,23 @@ def canonical_path_bound(model, graph, lazy=True,
 
 def _path_congestion(chain):
     """The canonical-path bound on a built hardcore chain."""
-    S = len(chain.states)
     loads = {}
     max_len = 0
-    for i in range(S):
-        for j in range(S):
+    for i, sigma in enumerate(chain.states):
+        for j, eta in enumerate(chain.states):
             if i == j:
                 continue
-            sigma, eta = chain.states[i], chain.states[j]
+            # clear sigma's occupied vertices, then occupy eta's
+            flips = ([(v, 0) for v, x in enumerate(sigma) if x == 1]
+                     + [(v, 1) for v, x in enumerate(eta) if x == 1])
             cur = list(sigma)
             hops = []
             prev = i
-            for v in range(len(cur)):
-                if cur[v] == 1:
-                    cur[v] = 0
-                    nxt = chain.index(tuple(cur))
-                    hops.append((prev, nxt))
-                    prev = nxt
-            for v in range(len(cur)):
-                if eta[v] == 1:
-                    cur[v] = 1
-                    nxt = chain.index(tuple(cur))
-                    hops.append((prev, nxt))
-                    prev = nxt
+            for v, x in flips:
+                cur[v] = x
+                nxt = chain.index(tuple(cur))
+                hops.append((prev, nxt))
+                prev = nxt
             max_len = max(max_len, len(hops))
             w = chain.pi[i] * chain.pi[j]
             for hop in hops:
@@ -440,11 +440,10 @@ def tree_decay_check(model, graph, tree, v, lam,
     q = model.q
     total = q ** len(ext)
     exhaustive = total <= boundary_samples
-    if not ext:
-        rows = np.zeros((1, 0), dtype=int)
-    elif exhaustive:
-        rows = np.array(list(itertools.product(range(q), repeat=len(ext))),
-                        dtype=int)
+    if exhaustive or not ext:
+        # every boundary as a row, in lexicographic order (one empty row
+        # when there is no boundary)
+        rows = np.indices((q,) * len(ext)).reshape(len(ext), total).T
     else:
         rng = make_rng(seed, "decay")
         rows = np.array([[rng.randrange(q) for _ in ext]
@@ -582,8 +581,8 @@ def _boundary_assignments(model, graph, block_vertices, state_budget):
     comp_chain = enumerate_states(model, graph, budget=state_budget,
                                   vertices=comp, boundary=None)
     cpos = {v: i for i, v in enumerate(comp_chain.vertices)}
-    seen = sorted({tuple(s[cpos[w]] for w in ext)
-                   for s in comp_chain.states})
+    cols = [cpos[w] for w in ext]
+    seen = sorted(set(map(tuple, comp_chain.X[:, cols].tolist())))
     cap = 10 ** 4
     sampled = len(seen) > cap
     if sampled:
@@ -623,7 +622,7 @@ def block_composition_check(model, graph, partition, instance="",
         for bc in assignments:
             sub = enumerate_states(model, graph, budget=state_budget,
                                    vertices=block.vertices, boundary=bc)
-            if not sub.states:
+            if not len(sub.pi):
                 continue
             transition_matrix(sub, lazy=True)
             worst = max(worst, relaxation_time(sub))
@@ -641,8 +640,8 @@ def block_composition_check(model, graph, partition, instance="",
 
 def format_chain_dump(chain):
     """Plain-text dump: states, stationary vector, dense matrix."""
-    lines = [f"states {len(chain.states)} {len(chain.vertices)}"]
-    lines.extend(" ".join(map(str, s)) for s in chain.states)
+    lines = [f"states {len(chain.pi)} {len(chain.vertices)}"]
+    lines.extend(" ".join(map(str, s)) for s in chain.X.tolist())
     lines.append("pi")
     lines.append(" ".join(f"{x:.17g}" for x in chain.pi))
     if chain.P is not None:

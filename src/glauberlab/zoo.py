@@ -258,7 +258,7 @@ def _zoo_chains(state_budget):
             except BudgetExceededError:
                 out.append((instance, "state budget exceeded"))
                 continue
-            if not chain.states:
+            if not len(chain.pi):
                 out.append((instance, "no feasible configuration"))
                 continue
             transition_matrix(chain, lazy=True)

@@ -1,10 +1,12 @@
-"""The exact layer's product-space enumerators against per-assignment
-references.
+"""The exact layer's product-space enumerators and heat-bath kernel
+against per-assignment references.
 
 ``enumerate_states`` sweeps levels of one small-int array and
 ``skeleton_joint`` weighs every assignment at once.  The references
 below are the depth-first search and the assignment loop they replace;
 states, log weights and laws must agree exactly, in the same order.
+``_resample_kernel`` groups rows by their bytes; its reference sorts
+them with a lexsort over the other columns, and P must agree bit for bit.
 """
 
 import itertools
@@ -14,10 +16,12 @@ import numpy as np
 import pytest
 
 import glauberlab as gl
-from glauberlab.exact import _root_field
+from glauberlab.errors import BudgetExceededError
+from glauberlab.exact import (_boundary_assignments, _resample_kernel,
+                              _root_field)
 from glauberlab.models import NEG_INF
 from glauberlab.zoo import (_soft_grid_model, connected_graphs, model_grid,
-                            skeleton_block_cases)
+                            partitioned_cases, skeleton_block_cases)
 
 
 def reference_enumerate_states(model, graph, vertices=None, boundary=None):
@@ -114,16 +118,53 @@ def reference_skeleton_joint(model, graph, block, boundary):
     return states, probs
 
 
+def reference_resample_kernel(chain, groups):
+    """Heat-bath kernel over ``groups``, each group's classes found by a
+    lexsort of the other columns; n^2 work per state for single sites."""
+    S = len(chain.states)
+    X = np.array(chain.states, dtype=np.int64).reshape(S, len(chain.vertices))
+    logw = np.array(chain.logw)
+    P = np.zeros((S, S)) if groups else np.eye(S)
+    for group in groups:
+        rest = np.delete(X, group, axis=1)
+        order = np.lexsort(rest.T) if rest.shape[1] else np.arange(S)
+        rest = rest[order]
+        first = np.ones(S, dtype=bool)
+        first[1:] = (rest[1:] != rest[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        sizes = np.diff(np.append(starts, S))
+        for m in set(sizes.tolist()):
+            cls = order[starts[sizes == m][:, None] + np.arange(m)]
+            w = np.exp(logw[cls] - logw[cls].max(axis=1, keepdims=True))
+            p = w / w.sum(axis=1, keepdims=True) / len(groups)
+            P[cls[:, :, None], cls[:, None, :]] += p[:, None, :]
+    return P
+
+
 def assert_same_chain(model, graph, vertices=None, boundary=None):
     chain = gl.enumerate_states(model, graph, vertices=vertices,
                                 boundary=boundary)
     states, logw, pi = reference_enumerate_states(model, graph, vertices,
                                                   boundary)
     assert chain.states == states
-    assert chain.logw == logw
+    assert chain.logw.tolist() == logw
     assert np.array_equal(chain.pi, pi)
     assert all(type(a) is int for s in chain.states for a in s)
-    assert all(type(x) is float for x in chain.logw)
+    assert all(type(x) is float for x in chain.logw.tolist())
+    assert np.array_equal(
+        chain.X, np.array(states).reshape(len(states), len(chain.vertices)))
+    assert chain.X.dtype == np.min_scalar_type(model.q - 1)
+
+
+def assert_same_kernel(chain, groups):
+    P = _resample_kernel(chain, groups)
+    assert np.array_equal(P, reference_resample_kernel(chain, groups))
+
+
+def site_groups(chain):
+    """Every single site, then the whole chain as one group."""
+    n = len(chain.vertices)
+    return [[[i] for i in range(n)], [list(range(n))]]
 
 
 def assert_same_joint(model, graph, block, boundary):
@@ -225,3 +266,71 @@ class TestBudget:
         assert len(gl.enumerate_states(model, star).states) == 2
         with pytest.raises(gl.BudgetExceededError):
             gl.enumerate_states(model, star, budget=100)
+
+
+class TestKernelAgainstReference:
+    def test_zoo_grid(self):
+        for _, model in model_grid():
+            for _, graph in connected_graphs():
+                chain = gl.enumerate_states(model, graph)
+                for groups in site_groups(chain):
+                    assert_same_kernel(chain, groups)
+
+    def test_partitioned_cases(self):
+        for _, model, graph, part in partitioned_cases():
+            chain = gl.enumerate_states(model, graph)
+            assert_same_kernel(chain, [sorted(b.vertices)
+                                       for b in part.blocks])
+            # the per-block chains under each realizable boundary
+            for block in part.blocks:
+                bcs, _ = _boundary_assignments(model, graph, block.vertices,
+                                               5000)
+                for bc in bcs:
+                    sub = gl.enumerate_states(
+                        model, graph, vertices=block.vertices, boundary=bc)
+                    for groups in site_groups(sub):
+                        assert_same_kernel(sub, groups)
+
+    def test_random_partitions(self):
+        rng = random.Random(22)
+        built = empty = 0
+        while built < 200:
+            kind = rng.choice(["coloring", "hardcore", "soft"])
+            if kind == "coloring":
+                model = gl.coloring_model(rng.randint(2, 4))
+            elif kind == "hardcore":
+                model = gl.hardcore_model(round(rng.uniform(-2.0, 2.0), 3))
+            else:
+                q = rng.randint(1, 3)
+                g = [[0.0] * q for _ in range(q)]
+                for a in range(q):
+                    for b in range(a, q):
+                        g[a][b] = g[b][a] = rng.uniform(-1.0, 1.0)
+                model = gl.soft_model(
+                    [rng.uniform(-1.0, 1.0) for _ in range(q)], g)
+            n = rng.randint(1, 7)
+            p = rng.uniform(0.1, 0.7)
+            graph = gl.Graph(n, [(u, v) for u, v in
+                                 itertools.combinations(range(n), 2)
+                                 if rng.random() < p])
+            try:
+                # at most 500 states keeps each dense P within 2 MB
+                chain = gl.enumerate_states(model, graph, budget=500)
+            except BudgetExceededError:
+                continue
+            built += 1
+            empty += len(chain.X) == 0
+            k = rng.randint(1, n)
+            labels = [rng.randrange(k) for _ in range(n)]
+            groups = [[i for i in range(n) if labels[i] == b]
+                      for b in sorted(set(labels))]
+            assert_same_kernel(chain, groups)
+            for groups in site_groups(chain):
+                assert_same_kernel(chain, groups)
+        assert empty > 0
+
+    def test_long_path_two_colourings(self):
+        chain = gl.enumerate_states(gl.coloring_model(2), path(300))
+        assert len(chain.X) == 2
+        for groups in site_groups(chain):
+            assert_same_kernel(chain, groups)
