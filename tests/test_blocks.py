@@ -419,7 +419,9 @@ class TestBlockDiameter:
         assert 30 < disconnected < 270
 
     def test_single_vertices_paths_and_cycles(self):
-        for n in range(1, 41):
+        # n = 300 spans two 256-source chunks, and its depths need uint16
+        # codes (far = 512)
+        for n in (*range(1, 41), 300):
             path = gl.Graph(n, [(i, i + 1) for i in range(n - 1)])
             assert gl_blocks._block_diameter(path, (n - 1,)) == 0
             assert gl_blocks._block_diameter(path, tuple(range(n))) == n - 1
@@ -430,6 +432,13 @@ class TestBlockDiameter:
                 # the cycle less one vertex is a path
                 assert (gl_blocks._block_diameter(cycle, tuple(range(1, n)))
                         == oracle_block_diameter(cycle, range(1, n)) == n - 2)
+
+    def test_two_paths_disconnected_in_every_chunk(self):
+        # two disjoint 300-vertex paths: 600 sources in three chunks
+        n = 300
+        twin = gl.Graph(2 * n, [(i, i + 1) for i in range(2 * n - 1)
+                                if i != n - 1])
+        assert gl_blocks._block_diameter(twin, tuple(range(2 * n))) == math.inf
 
     def test_giant_skeleton_block_takes_fewer_bfs(self, monkeypatch):
         # the giant skeleton block (339 vertices) of G(400, 2.5/400), seed
