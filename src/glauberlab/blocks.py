@@ -16,8 +16,9 @@ import numpy as np
 from .defaults import CHOICES, DEFAULTS, _check_log_base
 from .errors import (BudgetExceededError, NonUniqueAttachmentError,
                      SkeletonBoundError)
-from .graphs import (Graph, alpha_weights_all, bfs_distances, boundaries,
-                     induced_components, induced_excess, log_radius)
+from .graphs import (Graph, _distance_chunks, alpha_weights_all,
+                     bfs_distances, boundaries, induced_components,
+                     induced_excess, log_radius)
 from .records import CheckRecord, Report
 
 
@@ -441,40 +442,21 @@ def build_blocks(g, labeling, skeleton, L, t=None,
 
 def _block_diameter(g, vertices):
     """Exact diameter of the subgraph induced on vertices, inf if it is
-    disconnected, from a few BFS (Takes and Kosters, CIKM 2011).
-
-    A BFS from v gives ecc(v), a lower bound on the diameter, and bounds
-    every ecc(w) above by ecc(v) + d(v, w) and below by d(v, w) and
-    ecc(v) - d(v, w).  Vertices whose upper bound cannot beat the diameter
-    found so far drop out.  The next source is the remaining vertex with
-    the largest upper bound and, on alternate rounds, the smallest lower
-    bound (a likely centre, whose BFS tightens many upper bounds at once);
-    ties go to the first in block order.
-    """
-    vset = set(vertices)
-    upper = dict.fromkeys(vertices, math.inf)
-    lower = dict.fromkeys(vertices, 0)
+    disconnected: the largest MS-BFS depth code of the relabelled
+    subgraph, whose unreached code ``far`` exceeds every depth."""
+    # a lone vertex skips the sweep's set-up, most of its cost on the
+    # thousands of singleton blocks of a sparse graph
+    if len(vertices) == 1:
+        return 0
+    pos = {v: i for i, v in enumerate(vertices)}
+    sub = Graph(len(pos), [(pos[u], pos[v]) for u in vertices
+                           for v in g.adj[u] if u < v and v in pos])
     diam = 0
-    by_upper = True
-    while upper:
-        if by_upper:
-            v = max(upper, key=upper.get)
-        else:
-            v = min(lower, key=lower.get)
-        by_upper = not by_upper
-        dist = bfs_distances(g, v, within=vset)
-        if len(dist) < len(vset):
+    for _, code, far in _distance_chunks(sub):
+        top = int(code.max())
+        if top == far:
             return math.inf
-        ecc = max(dist.values())
-        diam = max(diam, ecc)
-        left, low = {}, {}
-        for w, bound in upper.items():
-            d = dist[w]
-            bound = min(bound, ecc + d)
-            if bound > diam:
-                left[w] = bound
-                low[w] = max(lower[w], d, ecc - d)
-        upper, lower = left, low
+        diam = max(diam, top)
     return diam
 
 

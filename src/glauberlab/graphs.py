@@ -211,7 +211,9 @@ def _distance_chunks(g):
     ``code`` is the (n, k) array, of the smallest unsigned int type that
     holds ``far``, whose column s holds the hop distances from sel[s];
     ``far`` = 1 << len(planes) exceeds every depth of the chunk and marks
-    an unreached vertex.
+    an unreached vertex.  ``_sweep`` reads phi and the ball excesses off
+    the codes, and ``blocks._block_diameter`` reads a block's diameter off
+    those of its induced subgraph.
     """
     indptr, indices = g.csr_adjacency()
     for start in range(0, g.n, _DIST_CHUNK):

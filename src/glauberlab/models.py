@@ -169,16 +169,17 @@ def local_conditional(model, graph, config, v):
 class HeatBath:
     """The heat-bath conditional of one model on one graph.
 
-    ``pmf(config, v)`` equals ``local_conditional(model, graph, config, v)``
-    and ``draw(config, v, u)`` equals ``sample_index`` of that pmf with
-    uniform ``u``, float for float.  A proper coloring's conditional is
-    uniform on the k free colors, so per k one table of the sequential
-    partial sums of 1.0/k replays the cumulative walk of ``sample_index``;
-    hardcore has one pmf for an unblocked vertex.  Soft models take the
-    generic path.  ``couple(left, right, v, u)`` equals
-    ``sample_maximal_coupling`` of v's pmfs in the two configurations;
-    colorings read it off the two taken sets with the same tables, and
-    hardcore off one table per pair of blocked flags.
+    ``pmf(config, v)`` is ``local_conditional(model, graph, config, v)``
+    for every model kind, and ``draw(config, v, u)`` equals
+    ``sample_index`` of that pmf with uniform ``u``, float for float.  A
+    proper coloring's conditional is uniform on the k free colors, so per
+    k one table of the sequential partial sums of 1.0/k replays the
+    cumulative walk of ``sample_index``; hardcore draws from one table,
+    the pmf of an unblocked vertex.  Soft models take the generic path.
+    ``couple(left, right, v, u)`` equals ``sample_maximal_coupling`` of
+    v's pmfs in the two configurations; colorings read it off the two
+    taken sets with the same tables, and hardcore off one table per pair
+    of blocked flags.
     """
 
     def __init__(self, model, graph):
@@ -202,7 +203,6 @@ class HeatBath:
                 self._cums.append(tuple(cum))
                 self._totals.append(sum([w] * k))
             self.draw = self._draw_coloring
-            self.pmf = self._pmf_coloring
             self.couple = self._couple_coloring
         elif model.kind == "hardcore":
             self._open = neighbor_conditional(model, (), None)
@@ -211,7 +211,6 @@ class HeatBath:
             # sample_index never picks a state of mass 0.0
             self._cut = p0 if p1 > 0.0 else math.inf
             self.draw = self._draw_hardcore
-            self.pmf = self._pmf_hardcore
             self.couple = self._couple_hardcore
 
     def draw(self, config, v, u):
@@ -241,14 +240,6 @@ class HeatBath:
                 break
             j += 1
         return j
-
-    def _pmf_coloring(self, config, v):
-        taken = {config[w] for w in self._adj[v]}
-        k = self._q - len(taken)
-        if not k:
-            raise _no_feasible_state(v)
-        p = 1.0 / k
-        return [0.0 if c in taken else p for c in range(self._q)]
 
     def _couple_coloring(self, left, right, v, u):
         # sample_maximal_coupling's walk, read off the two taken sets: its
@@ -321,11 +312,6 @@ class HeatBath:
         total, cut, first, last = self._hardcore_pairs[
             any(left[w] for w in nbrs), any(right[w] for w in nbrs)]
         return first if u * total < cut else last
-
-    def _pmf_hardcore(self, config, v):
-        if any(config[w] for w in self._adj[v]):
-            return [1.0, 0.0]
-        return list(self._open)
 
 
 def _residuals(q, own, other, p, m):
