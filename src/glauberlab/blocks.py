@@ -16,9 +16,9 @@ import numpy as np
 from .defaults import CHOICES, DEFAULTS, _check_log_base
 from .errors import (BudgetExceededError, NonUniqueAttachmentError,
                      SkeletonBoundError)
-from .graphs import (Graph, _distance_chunks, alpha_weights_all,
-                     bfs_distances, boundaries, induced_components,
-                     induced_excess, log_radius)
+from .graphs import (Graph, _distance_chunks, _walk_bounds,
+                     alpha_weights_all, bfs_distances, boundaries,
+                     induced_components, induced_excess, log_radius)
 from .records import CheckRecord, Report
 
 
@@ -28,7 +28,7 @@ class GoodBadLabeling:
     c: float
     alpha: float
     eps: float
-    phi: np.ndarray
+    phi_swept: int
 
     def is_good(self, v):
         return bool(self.good[v])
@@ -38,23 +38,54 @@ class GoodBadLabeling:
         return [v for v in range(len(self.good)) if not self.good[v]]
 
 
+# Relative slack of a label settled by a bound.  The sweep's phi is a sum
+# of at most n powers of alpha, rounded within about 1e-14 * (phi + 1);
+# a bound's own float sum is off by about 1e-16 per level.  Both are far
+# below this slack, so a vertex settled good (U plus slack within eps) has
+# a swept phi <= eps, one settled bad (alpha * deg minus slack above eps)
+# has a swept phi > eps, and each settled label is the one the sweep
+# would give.
+_SLACK = 1e-9
+
+
 def classify(g, c, alpha, eps, phi=None):
     """Label each vertex good iff deg(v) <= c and phi_alpha(v) <= eps.
 
-    phi defaults to the exact weights; a caller that already has them (the
-    hypothesis check computes them) passes them in.
+    A caller that already has phi (the hypothesis check computes it)
+    passes it in.  Otherwise a vertex is bad when deg(v) > c or
+    alpha * deg(v), a lower bound on phi, clears eps, and good when
+    graphs' non-backtracking walk bound on phi is within eps; levels of
+    that bound are added while some vertex can still be settled, and only
+    the vertices left open get their exact phi from the sweep, which
+    phi_swept counts.  The labels equal those of the exact phi.
     """
     if c < 0:
         raise ValueError("degree cap must be nonnegative")
     if eps <= 0:
         raise ValueError("weight cap must be positive")
-    if phi is None:
-        phi = alpha_weights_all(g, alpha)
-    else:
-        phi = np.asarray(phi, dtype=float)
-    degrees = np.array([g.degree(v) for v in range(g.n)], dtype=float)
-    good = (degrees <= c) & (phi <= eps)
-    return GoodBadLabeling(good=good, c=c, alpha=alpha, eps=eps, phi=phi)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0,1)")
+    degrees = np.diff(g.csr_adjacency()[0])
+    good = degrees <= c
+    if phi is not None:
+        good &= np.asarray(phi, dtype=float) <= eps
+        return GoodBadLabeling(good=good, c=c, alpha=alpha, eps=eps,
+                               phi_swept=0)
+    low = alpha * degrees
+    good &= low - _SLACK * (low + 1) <= eps
+    unsettled = good.copy()
+    for head, tail in _walk_bounds(g, alpha):
+        upper = head + tail
+        unsettled &= upper + _SLACK * (upper + 1) > eps
+        # head only grows, and a tail within the slack cannot settle more
+        slack = _SLACK * (head + 1)
+        if not np.any(unsettled & (head + slack <= eps) & (tail > slack)):
+            break
+    swept = np.flatnonzero(unsettled)
+    if len(swept):
+        good[swept] = alpha_weights_all(g, alpha, swept) <= eps
+    return GoodBadLabeling(good=good, c=c, alpha=alpha, eps=eps,
+                           phi_swept=len(swept))
 
 
 @dataclass(frozen=True)
@@ -599,7 +630,9 @@ def decompose(g, hp, L=None, log_base=DEFAULTS["log_base"],
     """classify -> bad_classes -> build_skeleton -> build_blocks.
 
     phi lets a caller reuse per-vertex weights already computed by the
-    hypothesis check instead of paying a second all-pairs pass.
+    hypothesis check.  Without it, classify settles most labels by bounds
+    and sweeps only the vertices they leave open; the partition's
+    labeling.phi_swept counts those.
     """
     params = choose_params(hp, L)
     labeling = classify(g, params.c, hp.alpha, params.eps, phi=phi)

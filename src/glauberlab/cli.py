@@ -149,6 +149,7 @@ def cmd_decompose(args, cfg):
         "records": _records_json(report.records),
     }
     return _emit(args, "decompose", payload,
+                 meta_extra={"phi_swept": partition.labeling.phi_swept},
                  code=EXIT_PASS if report.passed else EXIT_FAIL)
 
 

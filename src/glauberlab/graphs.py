@@ -201,8 +201,9 @@ def _unpack_bits(words, k):
                          bitorder="little")
 
 
-def _distance_chunks(g):
-    """Yield (source indices, depth codes, unreached code) over the graph.
+def _distance_chunks(g, sources=None):
+    """Yield (source indices, depth codes, unreached code) over ``sources``
+    (distinct vertices, in their order; None means every vertex).
 
     Bit-parallel multi-source BFS (MS-BFS; Then et al., PVLDB 2014): bit s
     of a vertex's words records that source sel[s] has reached it, so one
@@ -216,8 +217,10 @@ def _distance_chunks(g):
     those of its induced subgraph.
     """
     indptr, indices = g.csr_adjacency()
-    for start in range(0, g.n, _DIST_CHUNK):
-        sel = np.arange(start, min(start + _DIST_CHUNK, g.n))
+    if sources is None:
+        sources = np.arange(g.n)
+    for start in range(0, len(sources), _DIST_CHUNK):
+        sel = sources[start:start + _DIST_CHUNK]
         k = len(sel)
         col = np.arange(k)
         seen = np.zeros((g.n, (k + 63) // 64), dtype="<u8")
@@ -247,27 +250,33 @@ def _distance_chunks(g):
         yield sel, code, far
 
 
-def _sweep(g, alpha=None, radius=None):
-    """phi_alpha and the tree excess of every radius-``radius`` ball, from
-    one pass over the depth codes; a clause left as None reads zeros.
+def _sweep(g, alpha=None, radius=None, sources=None):
+    """phi_alpha and the tree excess of the radius-``radius`` ball of each
+    of ``sources`` (every vertex when None), in that order, from one pass
+    over the depth codes; a clause left as None reads zeros.
 
     phi looks each code up in a table of alpha powers (0.0 for unreached)
     and sums each source's terms as one contiguous row in vertex order, as
-    a row of distances would be summed.  Sources go 32 at a time because
-    np.take copies its index as intp.
+    a row of distances would be summed, so a source's phi does not depend
+    on the other sources swept.  Sources go 32 at a time because np.take
+    copies its index as intp.
     """
-    phi = np.zeros(g.n)
-    excess = np.zeros(g.n, dtype=np.int64)
+    k = g.n if sources is None else len(sources)
+    phi = np.zeros(k)
+    excess = np.zeros(k, dtype=np.int64)
     ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
-    for sel, code, far in _distance_chunks(g):
+    done = 0
+    for sel, code, far in _distance_chunks(g, sources):
+        at = slice(done, done + len(sel))
+        done += len(sel)
         if alpha is not None:
             table = alpha ** np.arange(far + 1, dtype=float)
             table[far] = 0.0
             for i in range(0, len(sel), 32):
-                phi[sel[i:i + 32]] = np.take(
+                phi[at][i:i + 32] = np.take(
                     table, code.T[i:i + 32]).sum(axis=1) - 1.0
         if radius is not None:
-            excess[sel] = _ball_excess(code, far, radius, ends)
+            excess[at] = _ball_excess(code, far, radius, ends)
     return phi, excess
 
 
@@ -281,11 +290,64 @@ def _ball_excess(code, far, radius, ends):
     return inside.sum(axis=0) - mask.sum(axis=0) + 1
 
 
-def alpha_weights_all(g, alpha):
-    """Exact phi_alpha for every vertex at once (chunked whole-graph BFS)."""
+def alpha_weights_all(g, alpha, sources=None):
+    """Exact phi_alpha of every vertex, or of each of the distinct vertices
+    ``sources`` in their order (chunked whole-graph BFS); a vertex's value
+    is the same bits either way."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
-    return _sweep(g, alpha=alpha)[0]
+    if sources is not None:
+        sources = np.asarray(sources, dtype=np.intp).reshape(-1)
+        if (len(np.unique(sources)) < len(sources)
+                or not np.all((0 <= sources) & (sources < g.n))):
+            raise ValueError("sources must be distinct vertices")
+    return _sweep(g, alpha=alpha, sources=sources)[0]
+
+
+def _walk_counts(g):
+    """Yield W_k, the number of non-backtracking walks of length k from
+    each vertex, capped at n, for k = 1, 2, ...
+
+    W_k(v) is the sum over the arcs v->w of c_k(v->w), the walks that
+    start along that arc, and c_k(u->w) = W_{k-1}(w) - c_{k-1}(w->u) with
+    c_1 = 1: one vectorised step over the CSR arcs and their reverses.
+    Each c_k is capped at n, which keeps it at min(n, exact) (a capped
+    summand caps the sum) and W_k at least min(n, exact).
+    """
+    indptr, indices = g.csr_adjacency()
+    origin = np.repeat(np.arange(g.n), np.diff(indptr))
+    # the arcs sorted by (target, origin): the reverse of each CSR arc
+    reverse = np.lexsort((origin, indices))
+    count = np.ones(len(indices), dtype=np.int64)
+    while True:
+        sums = np.concatenate(([0], np.cumsum(count)))
+        walks = sums[indptr[1:]] - sums[indptr[:-1]]
+        yield walks
+        count = np.minimum(walks[indices] - count[reverse], g.n)
+
+
+def _walk_bounds(g, alpha):
+    """Yield (head, tail) at levels k = 1, 2, ...: per-vertex arrays with
+    head + tail >= phi_alpha(v), tightening with k.
+
+    The sphere S_k(v) has at most W_k(v) vertices (``_walk_counts``).
+    Filling the nearest spheres first, x_j = min(W_j, remaining) out of
+    the |C(v)| - 1 other vertices of v's component, maximises
+    sum_j alpha^j |S_j| under those caps, so head = sum_{j<=k} alpha^j x_j
+    plus tail = alpha^(k+1) * remaining bounds phi.  Past v's eccentricity
+    nothing remains and head is the whole bound.
+    """
+    remaining = np.zeros(g.n, dtype=np.int64)
+    for comp in induced_components(g, range(g.n)):
+        remaining[list(comp)] = len(comp) - 1
+    head = np.zeros(g.n)
+    power = 1.0
+    for walks in _walk_counts(g):
+        power *= alpha
+        x = np.minimum(walks, remaining)
+        head += power * x
+        remaining -= x
+        yield head, power * alpha * remaining
 
 
 def tree_excess_all(g, l):

@@ -5,6 +5,7 @@ import pytest
 
 import glauberlab as gl
 from glauberlab import blocks as gl_blocks
+from glauberlab import graphs as gl_graphs
 from glauberlab.graphs import induced_components
 
 
@@ -111,6 +112,87 @@ class TestClassify:
             gl.classify(g, c=-1, alpha=0.5, eps=1.0)
         with pytest.raises(ValueError):
             gl.classify(g, c=2, alpha=0.5, eps=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.25])
+    def test_validates_alpha_with_phi(self, alpha):
+        with pytest.raises(ValueError):
+            gl.classify(c6(), c=2, alpha=alpha, eps=1.0, phi=[0.5] * 6)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.25])
+    def test_validates_alpha_without_phi(self, alpha):
+        # eps = 1e9 settles every vertex by bounds, before any sweep
+        with pytest.raises(ValueError):
+            gl.classify(c6(), c=2, alpha=alpha, eps=1e9)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.95])
+    def test_labels_equal_exact_phi_labels(self, alpha):
+        # Oracle: the labels of the exact phi, with eps exactly at some
+        # vertex's phi, one float below it, drawn uniformly, and huge.
+        rng = np.random.default_rng(int(alpha * 100))
+        cases = 0
+        for _ in range(16):
+            n = int(rng.integers(1, 601))
+            d = min(float(rng.uniform(0.5, 5.0)), n)
+            g = gl.generate_er(n, d, int(rng.integers(1 << 30)))
+            phi = gl.alpha_weights_all(g, alpha)
+            v = int(rng.integers(n))
+            for c in (1, 3, n):
+                for eps in (phi[v], np.nextafter(phi[v], 0),
+                            rng.uniform(0, phi.max() + 1), 1e9):
+                    if eps <= 0:
+                        continue
+                    got = gl.classify(g, c=c, alpha=alpha, eps=eps)
+                    want = gl.classify(g, c=c, alpha=alpha, eps=eps, phi=phi)
+                    assert np.array_equal(got.good, want.good), (n, c, eps)
+                    assert got.phi_swept <= n
+                    cases += 1
+        assert cases >= 60
+
+    def test_sweeps_only_open_vertices(self, monkeypatch):
+        # every vertex of a star but its centre is settled good by the
+        # bounds; the centre's phi (1.5) sits at eps, so it alone is swept
+        calls = count_sweeps(monkeypatch)
+        star = gl.Graph(4, [(0, 1), (0, 2), (0, 3)])
+        lab = gl.classify(star, c=10, alpha=0.5, eps=1.5)
+        assert lab.bad_vertices == []
+        assert lab.phi_swept == 1
+        assert calls == [[[0]]]
+
+    def test_degree_bound_settles_bad_without_sweep(self, monkeypatch):
+        # the centre of a 10-leaf star has alpha * deg = 5 > eps, so it is
+        # bad by the lower bound; each leaf's bound 0.5 + 0.25 * 10 is good
+        calls = count_sweeps(monkeypatch)
+        star = gl.Graph(11, [(0, v) for v in range(1, 11)])
+        lab = gl.classify(star, c=100, alpha=0.5, eps=4.0)
+        assert lab.bad_vertices == [0]
+        assert calls == []
+
+    def test_paper_constants_sweep_nothing(self, monkeypatch):
+        # eps = 759 against a largest phi near 5
+        calls = count_sweeps(monkeypatch)
+        hp = gl.HypothesisParams(a=0.2, alpha=0.25, t=1, delta=2.07)
+        part = gl.decompose(gl.generate_er(3500, 2.0, 1), hp)
+        assert calls == []
+        assert part.labeling.phi_swept == 0
+        assert part.labeling.bad_vertices == []
+
+
+def count_sweeps(monkeypatch):
+    """Record each call of the exact sweep as its chunks' sources."""
+    calls = []
+    chunks = gl_graphs._distance_chunks
+
+    def record(seen, items):
+        for sel, code, far in items:
+            seen.append(sel.tolist())
+            yield sel, code, far
+
+    def counted(g, sources=None):
+        calls.append([])
+        return record(calls[-1], chunks(g, sources))
+
+    monkeypatch.setattr(gl_graphs, "_distance_chunks", counted)
+    return calls
 
 
 class TestBadClasses:

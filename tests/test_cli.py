@@ -10,6 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from test_blocks import count_sweeps
 
 import glauberlab as gl
 from glauberlab import cli as gl_cli
@@ -130,6 +131,15 @@ class TestDecompose:
         back = gl.read_partition(part)
         assert sorted(back.owner_map()) == list(range(1000))
 
+    def test_paper_constants_sweep_no_vertex(self, er_graph, tmp_path):
+        out = tmp_path / "dec.json"
+        assert main(["decompose", str(er_graph), "--a", "0.2", "--alpha",
+                     "0.25", "--t", "1", "--delta", "2.07", "--out",
+                     str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["phi_swept"] == 0
+        assert "phi_swept" not in doc["payload"]
+
     # Criterion 6's regime on G(400, 2.5/400), seed 3, where rule (i)
     # runs and the skeleton grows to a fixed point (the pin above is at
     # the paper's constants, where the rule cap is below 3 and no rule
@@ -197,6 +207,25 @@ class TestDecomposeWithBadVertices:
         assert gl.read_partition(part).blocks == expect.blocks
         assert len(expect.labeling.bad_vertices) == bad
         assert len(gl.bad_classes(g, expect.labeling)) == classes
+
+    def test_sweeps_only_open_vertices(self, tmp_path, monkeypatch):
+        # The bounds leave open exactly the 9 bad vertices (phi above
+        # eps = 3.75, degree within c): one chunk sweeps them, and
+        # meta reports the count.
+        gp = tmp_path / "g.edges"
+        assert main(["gen", "--n", "5000", "--d", "2", "--seed", "1",
+                     "--out", str(gp)]) == 0
+        hp = gl.HypothesisParams(a=0.3, alpha=0.25, t=1, delta=0.15)
+        bad = gl.decompose(gl.read_edge_list(gp), hp,
+                           L=0.12).labeling.bad_vertices
+        calls = count_sweeps(monkeypatch)
+        out = tmp_path / "dec.json"
+        assert main(["decompose", str(gp), "--a", "0.3", "--alpha", "0.25",
+                     "--t", "1", "--delta", "0.15", "--length-scale",
+                     "0.12", "--out", str(out)]) == 0
+        assert payload_digest(out) == "8862d7f9a32e917b"
+        assert calls == [[bad]]
+        assert json.loads(out.read_text())["meta"]["phi_swept"] == 9
 
 
 class TestLogBase:

@@ -218,6 +218,79 @@ class TestSweepEngine:
         assert rep.m_alpha == mpw.value
 
 
+class TestSweepSources:
+    # A source's phi is summed over its own row in vertex order, so the
+    # sweep over a subset gives the full sweep's bits at those vertices.
+
+    @pytest.mark.parametrize("g", engine_cases())
+    def test_subset_equals_full_sweep(self, g):
+        rng = np.random.default_rng(g.n + g.m)
+        subsets = [[], rng.permutation(g.n),
+                   rng.permutation(g.n)[:rng.integers(g.n + 1)],
+                   np.sort(rng.choice(g.n, size=g.n // 3, replace=False))]
+        for alpha in (0.25, 0.9):
+            full = gl.alpha_weights_all(g, alpha)
+            for subset in subsets:
+                got = gl.alpha_weights_all(g, alpha, subset)
+                assert np.array_equal(got, full[np.asarray(subset, int)])
+        excess = gl.tree_excess_all(g, 3)
+        for subset in subsets:
+            sources = np.asarray(subset, dtype=np.intp)
+            assert np.array_equal(
+                graphs._sweep(g, radius=3, sources=sources)[1],
+                excess[sources])
+
+    @pytest.mark.parametrize("sources", [[0, 0], [3], [-1]])
+    def test_sources_are_distinct_vertices(self, sources):
+        with pytest.raises(ValueError):
+            gl.alpha_weights_all(path3(), 0.5, sources)
+
+
+def brute_walks(g, v, k):
+    """Non-backtracking walks of length k from v, one by one."""
+    def extend(prev, u, left):
+        if not left:
+            return 1
+        return sum(extend(u, w, left - 1) for w in g.adj[u] if w != prev)
+    return extend(None, v, k)
+
+
+def small_cases():
+    yield gl.Graph(1, [])
+    yield path3()
+    yield triangle()
+    yield star4()
+    yield k4()
+    yield gl.Graph(7, [(i, (i + 1) % 5) for i in range(5)] + [(4, 5)])
+    for seed in range(8):
+        yield gl.generate_er(9, 2.0 + seed / 2, seed)
+
+
+class TestWalkBounds:
+    @pytest.mark.parametrize("g", small_cases(), ids=repr)
+    def test_counts_match_brute_force(self, g):
+        # the counts are capped at n, so compare what lies below the cap
+        for k, walks in zip(range(1, 8), graphs._walk_counts(g)):
+            expect = [min(brute_walks(g, v, k), g.n) for v in range(g.n)]
+            assert np.minimum(walks, g.n).tolist() == expect, k
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.95])
+    def test_bound_covers_exact_phi(self, alpha):
+        for seed in range(12):
+            g = gl.generate_er(40 + 30 * seed, 0.5 + seed / 3, seed)
+            phi = gl.alpha_weights_all(g, alpha)
+            # the swept phi carries its own rounding, far below 1e-12
+            floor = phi - 1e-12 * (phi + 1)
+            for k, (head, tail) in zip(range(1, 60),
+                                       graphs._walk_bounds(g, alpha)):
+                assert np.all(head + tail >= floor), (seed, k)
+                if not tail.any():
+                    break
+            # past every eccentricity the head alone is the bound
+            assert not tail.any()
+            assert np.all(head >= floor)
+
+
 class TestMaxPathWeight:
     def test_path_grabs_both_edges(self):
         # path 0-1-2 at alpha=0.5, up to 2 edges: phi contributions
