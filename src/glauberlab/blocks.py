@@ -16,7 +16,7 @@ import numpy as np
 from .defaults import CHOICES, DEFAULTS, _check_log_base
 from .errors import (BudgetExceededError, NonUniqueAttachmentError,
                      SkeletonBoundError)
-from .graphs import (Graph, _distance_chunks, _walk_bounds,
+from .graphs import (_SLACK, Graph, _distance_chunks, _walk_bounds,
                      alpha_weights_all, bfs_distances, boundaries,
                      induced_components, induced_excess, log_radius)
 from .records import CheckRecord, Report
@@ -36,16 +36,6 @@ class GoodBadLabeling:
     @property
     def bad_vertices(self):
         return [v for v in range(len(self.good)) if not self.good[v]]
-
-
-# Relative slack of a label settled by a bound.  The sweep's phi is a sum
-# of at most n powers of alpha, rounded within about 1e-14 * (phi + 1);
-# a bound's own float sum is off by about 1e-16 per level.  Both are far
-# below this slack, so a vertex settled good (U plus slack within eps) has
-# a swept phi <= eps, one settled bad (alpha * deg minus slack above eps)
-# has a swept phi > eps, and each settled label is the one the sweep
-# would give.
-_SLACK = 1e-9
 
 
 def classify(g, c, alpha, eps, phi=None):

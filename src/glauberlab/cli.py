@@ -123,6 +123,8 @@ def cmd_check(args, cfg):
         "records": _records_json(rep.records),
     }
     return _emit(args, "check", payload,
+                 meta_extra={"phi_swept": rep.phi_swept,
+                             "path_nodes": rep.path_nodes},
                  code=EXIT_PASS if rep.passed else EXIT_FAIL)
 
 

@@ -7,7 +7,7 @@ graph generation and the edge-list file format.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,8 +168,9 @@ def alpha_weight(g, v, alpha):
 def _bfs_level(indptr, indices, seen, act, words):
     """The vertices that gain source bits from the frontier ``act`` (with
     bit ``words``) and those bits.  A small frontier pushes its bits along
-    its own edges, a large one is pulled over the whole adjacency; np.take
-    gathers rows several times faster than fancy indexing."""
+    its own edges, a large one is pulled over the whole adjacency; take
+    gathers rows several times faster than fancy indexing (the method
+    skips np.take's dispatch, most of a small frontier's cost)."""
     lens = indptr[act + 1] - indptr[act]
     pushes = int(lens.sum())
     if not pushes:
@@ -183,17 +184,17 @@ def _bfs_level(indptr, indices, seen, act, words):
                                                target[1:] != target[:-1])))
         cand = target[heads]
         sender = np.repeat(np.arange(len(act)), lens)[order]
-        gained = np.bitwise_or.reduceat(np.take(words, sender, axis=0),
+        gained = np.bitwise_or.reduceat(words.take(sender, axis=0),
                                         heads, axis=0)
     else:
         front = np.zeros_like(seen)
         front[act] = words
         cand = np.flatnonzero(np.diff(indptr))
-        gained = np.bitwise_or.reduceat(np.take(front, indices, axis=0),
+        gained = np.bitwise_or.reduceat(front.take(indices, axis=0),
                                         indptr[cand], axis=0)
-    gained &= ~np.take(seen, cand, axis=0)
+    gained &= ~seen.take(cand, axis=0)
     keep = np.flatnonzero(gained.any(axis=1))
-    return cand[keep], np.take(gained, keep, axis=0)
+    return cand[keep], gained.take(keep, axis=0)
 
 
 def _unpack_bits(words, k):
@@ -201,9 +202,10 @@ def _unpack_bits(words, k):
                          bitorder="little")
 
 
-def _distance_chunks(g, sources=None):
+def _distance_chunks(g, sources=None, cap=None):
     """Yield (source indices, depth codes, unreached code) over ``sources``
-    (distinct vertices, in their order; None means every vertex).
+    (distinct vertices, in their order; None means every vertex), with
+    each chunk's BFS stopped at depth ``cap`` (None: run to the end).
 
     Bit-parallel multi-source BFS (MS-BFS; Then et al., PVLDB 2014): bit s
     of a vertex's words records that source sel[s] has reached it, so one
@@ -212,9 +214,11 @@ def _distance_chunks(g, sources=None):
     ``code`` is the (n, k) array, of the smallest unsigned int type that
     holds ``far``, whose column s holds the hop distances from sel[s];
     ``far`` = 1 << len(planes) exceeds every depth of the chunk and marks
-    an unreached vertex.  ``_sweep`` reads phi and the ball excesses off
-    the codes, and ``blocks._block_diameter`` reads a block's diameter off
-    those of its induced subgraph.
+    an unreached vertex.  A chunk stopped at the cap has a vertex at depth
+    ``cap``, and ``far`` there marks every vertex beyond it as well; one
+    whose BFS ran out first has its full codes.  ``_sweep`` reads phi and
+    the ball excesses off the codes, and ``blocks._block_diameter`` reads
+    a block's diameter off those of its induced subgraph.
     """
     indptr, indices = g.csr_adjacency()
     if sources is None:
@@ -227,24 +231,28 @@ def _distance_chunks(g, sources=None):
         seen[sel, col >> 6] = np.uint64(1) << (col & 63).astype("<u8")
         planes = []
         act, words, depth = sel, seen[sel], 0
-        while True:
+        while cap is None or depth < cap:
             act, words = _bfs_level(indptr, indices, seen, act, words)
             if not len(act):
                 break
             depth += 1
-            seen[act] = np.take(seen, act, axis=0) | words
+            seen[act] = seen.take(act, axis=0) | words
             if depth >> len(planes):
                 planes.append(np.zeros_like(seen))
             for b, plane in enumerate(planes):
                 if depth >> b & 1:
-                    plane[act] = np.take(plane, act, axis=0) | words
+                    plane[act] = plane.take(act, axis=0) | words
         far = 1 << len(planes)
         # An unreached bit has no level bits, so its code is far alone.
+        # (Products in place: numpy's left shift of small ints is several
+        # times slower.)
         code_type = np.min_scalar_type(far)
-        code = np.left_shift(_unpack_bits(~seen, k), len(planes),
-                             dtype=code_type)
+        code = _unpack_bits(~seen, k).astype(code_type, copy=False)
+        code *= far
         for b, plane in enumerate(planes):
-            code |= np.left_shift(_unpack_bits(plane, k), b, dtype=code_type)
+            bits = _unpack_bits(plane, k).astype(code_type, copy=False)
+            bits *= 1 << b
+            code |= bits
         # Free the sweep's state before the caller works on the codes.
         del seen, planes, act, words
         yield sel, code, far
@@ -253,7 +261,12 @@ def _distance_chunks(g, sources=None):
 def _sweep(g, alpha=None, radius=None, sources=None):
     """phi_alpha and the tree excess of the radius-``radius`` ball of each
     of ``sources`` (every vertex when None), in that order, from one pass
-    over the depth codes; a clause left as None reads zeros.
+    over the depth codes.
+
+    Without a radius the BFS runs to the end and the excesses read zeros.
+    With one it stops at that depth, and phi is read only off the chunks
+    whose BFS ran out first, so their codes are complete.  phi is NaN
+    where it is not read, and everywhere when alpha is None.
 
     phi looks each code up in a table of alpha powers (0.0 for unreached)
     and sums each source's terms as one contiguous row in vertex order, as
@@ -262,32 +275,56 @@ def _sweep(g, alpha=None, radius=None, sources=None):
     copies its index as intp.
     """
     k = g.n if sources is None else len(sources)
-    phi = np.zeros(k)
+    phi = np.full(k, np.nan)
     excess = np.zeros(k, dtype=np.int64)
     ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    chunks = (_distance_chunks(g, sources) if radius is None
+              else _distance_chunks(g, sources, cap=radius))
     done = 0
-    for sel, code, far in _distance_chunks(g, sources):
+    for sel, code, far in chunks:
         at = slice(done, done + len(sel))
         done += len(sel)
-        if alpha is not None:
+        complete = radius is None
+        if radius is not None:
+            excess[at], complete = _ball_excess(code, far, radius, ends)
+        if alpha is not None and complete:
             table = alpha ** np.arange(far + 1, dtype=float)
             table[far] = 0.0
             for i in range(0, len(sel), 32):
                 phi[at][i:i + 32] = np.take(
                     table, code.T[i:i + 32]).sum(axis=1) - 1.0
-        if radius is not None:
-            excess[at] = _ball_excess(code, far, radius, ends)
     return phi, excess
 
 
+# Rows of codes (vertices or edge ends) that _ball_excess reads at once.
+_ROW_BLOCK = 2048
+
+
 def _ball_excess(code, far, radius, ends):
-    """Tree excess of each code column's radius-``radius`` ball; its masks
-    are freed before the next chunk's BFS runs."""
+    """Tree excess of each code column's radius-``radius`` ball, and
+    whether the chunk's BFS ran out before that depth: it did iff no
+    vertex sits at depth ``radius`` (a real depth only below ``far``).
+    The codes are read in row blocks, so no (n, k) mask is built."""
     # Capped at far - 1: far itself is the unreached code.
-    mask = code <= min(radius, far - 1)
-    inside = np.take(mask, ends[:, 0], axis=0)
-    inside &= np.take(mask, ends[:, 1], axis=0)
-    return inside.sum(axis=0) - mask.sum(axis=0) + 1
+    top = min(radius, far - 1)
+    excess = np.ones(code.shape[1], dtype=np.int64)
+    at_cap = False
+    for i in range(0, len(code), _ROW_BLOCK):
+        rows = code[i:i + _ROW_BLOCK]
+        excess -= _column_counts(rows <= top)
+        at_cap = at_cap or (top == radius and bool(np.any(rows == top)))
+    for i in range(0, len(ends), _ROW_BLOCK):
+        block = ends[i:i + _ROW_BLOCK]
+        deeper = np.take(code, block[:, 0], axis=0)
+        np.maximum(deeper, np.take(code, block[:, 1], axis=0), out=deeper)
+        excess += _column_counts(deeper <= top)
+    return excess, not at_cap
+
+
+def _column_counts(mask):
+    """True entries per column of a bool block of at most _ROW_BLOCK rows
+    (several times faster than np.count_nonzero along an axis)."""
+    return mask.view(np.uint8).sum(axis=0, dtype=np.uint16)
 
 
 def alpha_weights_all(g, alpha, sources=None):
@@ -302,6 +339,15 @@ def alpha_weights_all(g, alpha, sources=None):
                 or not np.all((0 <= sources) & (sources < g.n))):
             raise ValueError("sources must be distinct vertices")
     return _sweep(g, alpha=alpha, sources=sources)[0]
+
+
+# Relative slack of a bound on phi.  The sweep's phi is a sum of at most n
+# powers of alpha, rounded within about 1e-14 * (phi + 1); a bound's own
+# float sum is off by about 1e-16 per level or per path vertex.  Both are
+# far below this slack, so a bound raised by it holds against the swept
+# phi, and a label or candidate set settled by it is the one the exact phi
+# would give.
+_SLACK = 1e-9
 
 
 def _walk_counts(g):
@@ -350,42 +396,159 @@ def _walk_bounds(g, alpha):
         yield head, power * alpha * remaining
 
 
-def tree_excess_all(g, l):
-    """Tree excess of B(v,l) for every v (vectorized over source chunks)."""
-    return _sweep(g, radius=l)[1]
+def _phi_upper(g, alpha):
+    """U >= phi_alpha at every vertex: the walk bound of ``_walk_bounds``
+    at the first level whose tails all lie within the slack, raised by
+    the slack."""
+    for head, tail in _walk_bounds(g, alpha):
+        if not np.any(tail > _SLACK * (head + 1)):
+            break
+    upper = head + tail
+    return upper + _SLACK * (upper + 1)
+
+
+# Most runs of arm splits that _path_bounds bounds apart, one (n,) array
+# each.
+_SPLITS = 16
+
+
+def _path_bounds(g, upper, l):
+    """B(v) >= the ``upper``-weight of every path of at most l edges
+    through v, in O(_SPLITS * n) memory.
+
+    F_0 = U and F_k(v) = U(v) + max(0, max over w ~ v of F_{k-1}(w)) is
+    the heaviest walk of at most k edges from v, one reduceat over the CSR
+    per level.  A path through v splits there into two arms of a <= l // 2
+    and at most l - a edges, so it weighs at most F_a(v) + F_{l-a}(v) -
+    U(v).  The splits a = 0..l // 2 go in at most _SPLITS runs [lo, hi];
+    F grows with k, so F_hi + F_{l-lo} - U bounds a whole run, and each
+    run keeps one array.  Runs of one split make B the best split's bound.
+    """
+    indptr, indices = g.csr_adjacency()
+    has = np.flatnonzero(np.diff(indptr))
+    half = np.arange(l // 2 + 1)
+    runs = [(r[0], r[-1]) for r in np.array_split(half, min(len(half),
+                                                            _SPLITS))]
+    kept = {}
+    bound = walk = upper
+    for k in range(l + 1):
+        if k:
+            reach = np.zeros(g.n)
+            if len(has):
+                reach[has] = np.maximum.reduceat(walk[indices], indptr[has])
+            walk = upper + reach
+        for lo, hi in runs:
+            if k == hi:
+                kept[hi] = walk
+            if k == l - lo:
+                bound = np.maximum(bound, kept.pop(hi) + walk - upper)
+    return bound
+
+
+def tree_excess_all(g, l, alpha=None):
+    """Tree excess of B(v,l) for every v, from a sweep whose BFS stops at
+    depth l (vectorized over source chunks).
+
+    With ``alpha``, returns (excess, phi): phi_alpha, bit-identical to
+    alpha_weights_all's, of each vertex whose chunk's BFS ran out before
+    depth l, read off the same codes, and NaN at the others.
+    """
+    if alpha is None:
+        return _sweep(g, radius=l)[1]
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0,1)")
+    phi, excess = _sweep(g, alpha=alpha, radius=l)
+    return excess, phi
 
 
 @dataclass(frozen=True)
 class MaxPathWeight:
     value: float
     path: tuple
+    swept: int = 0
+    nodes: int = 0
+
+
+# Vertices, highest path bound first, whose exact phi the path search
+# sweeps before its first DFS.
+_PATH_SEEDS = 64
 
 
 def max_path_alpha_weight(g, alpha, l, node_budget=DEFAULTS["node_budget"],
                           phi=None):
     """Exact max over self-avoiding paths of at most ``l`` edges of the sum
-    of phi_alpha over the path's vertices.
+    of phi_alpha over the path's vertices, and the first path (in the
+    order below) that attains it.
 
-    Depth-first enumeration with branch-and-bound: a branch dies when its
-    running sum plus (remaining edges) * (global max phi) cannot beat the
-    incumbent.  A single vertex is a path of zero edges, so the result is
-    at least max_v phi_alpha(v).  Exceeding ``node_budget`` DFS nodes is an
-    error, never a silent approximation.
+    ``phi`` holds phi_alpha, bit-identical to alpha_weights_all's, with
+    NaN where it is not known; None means known nowhere.  Where it is
+    known everywhere, the depth-first search runs over the whole graph.
+    Otherwise only vertices that can lie on a heaviest path are swept:
+    with U the walk bound on phi (raised by the slack) and B(v) =
+    ``_path_bounds``, the ``_PATH_SEEDS`` vertices of highest B go first,
+    a DFS over the swept vertices finds a path of weight L, and the
+    vertices with B(v) >= L, which hold every path as heavy, are swept in
+    turn until none is left out; the last DFS is the answer.
+    ``MaxPathWeight.swept`` counts the vertices swept here.
+
+    The DFS uses branch-and-bound: a branch dies when its running sum plus
+    (remaining edges) * (largest phi searched) cannot beat the incumbent.
+    A single vertex is a path of zero edges, so the result is at least
+    max_v phi_alpha(v).  ``MaxPathWeight.nodes`` counts the DFS nodes of
+    every run; exceeding ``node_budget`` is an error, never a silent
+    approximation.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0,1)")
     if l < 0:
         raise ValueError("path length cap must be nonnegative")
     if g.n == 0:
         return MaxPathWeight(0.0, ())
-    if phi is None:
-        phi = alpha_weights_all(g, alpha)
-    phi = [float(x) for x in phi]
     l = min(l, g.n - 1)
-    max_phi = max(phi)
-    order = sorted(range(g.n), key=lambda v: -phi[v])
+    phi = np.full(g.n, np.nan) if phi is None else np.array(phi, float)
+    inside = ~np.isnan(phi)
+    swept = 0
+    new = np.flatnonzero(~inside)
+    if len(new):
+        # U's slack also covers the float sums of B and of the search
+        bound = _path_bounds(g, _phi_upper(g, alpha), l)
+        new = new[np.argsort(-bound[new], kind="stable")[:_PATH_SEEDS]]
+    nodes = 0
+    while True:
+        if len(new):
+            phi[new] = alpha_weights_all(g, alpha, new)
+            inside[new] = True
+            swept += len(new)
+        value, path, nodes = _path_search(g, phi, l, inside, node_budget,
+                                          nodes)
+        if inside.all():
+            break
+        new = np.flatnonzero((bound >= value) & ~inside)
+        if not len(new):
+            break
+    return MaxPathWeight(value, path, swept=swept, nodes=nodes)
+
+
+def _path_search(g, phi, l, inside, node_budget, nodes):
+    """(value, path, DFS nodes so far) of the heaviest path of at most l
+    edges within the vertex mask ``inside``, from ``nodes`` nodes spent.
+
+    Roots go by decreasing phi, ties by index, and children in adjacency
+    order; ``best`` moves only on a strict gain, and both prunes (with the
+    largest phi inside) discard only branches that cannot beat it.  So the
+    result is the first path in that order that attains the maximum.  When
+    ``inside`` holds every path at least as heavy as some path within it,
+    that is the path the search over the whole graph returns, to the bit:
+    the heaviest paths all lie inside, and the order restricted to
+    ``inside`` is the whole order restricted to it.
+    """
+    weight = phi.tolist()
+    max_phi = float(phi[inside].max())
+    order = sorted(np.flatnonzero(inside).tolist(), key=lambda v: -weight[v])
     best = -math.inf
     best_path = ()
-    nodes = 0
-    in_path = bytearray(g.n)
+    # a vertex outside the mask stays blocked, like one on the path
+    blocked = bytearray((~inside).tobytes())
     path = []
     stack = []  # per path vertex: its untried children, sum, edges left
 
@@ -396,8 +559,8 @@ def max_path_alpha_weight(g, alpha, l, node_budget=DEFAULTS["node_budget"],
             raise BudgetExceededError(
                 f"path enumeration exceeded {node_budget} nodes")
         path.append(v)
-        in_path[v] = 1
-        total += phi[v]
+        blocked[v] = 1
+        total += weight[v]
         if total > best:
             best = total
             best_path = tuple(path)
@@ -405,19 +568,19 @@ def max_path_alpha_weight(g, alpha, l, node_budget=DEFAULTS["node_budget"],
         stack.append((iter(g.adj[v] if grow else ()), total, edges_left - 1))
 
     for v in order:
-        if phi[v] + l * max_phi <= best:
+        if weight[v] + l * max_phi <= best:
             break
         enter(v, 0.0, l)
         while stack:
             children, total, edges_left = stack[-1]
             for w in children:
-                if not in_path[w]:
+                if not blocked[w]:
                     enter(w, total, edges_left)
                     break
             else:
                 stack.pop()
-                in_path[path.pop()] = 0
-    return MaxPathWeight(best, best_path)
+                blocked[path.pop()] = 0
+    return best, best_path, nodes
 
 
 @dataclass(frozen=True)
@@ -485,7 +648,10 @@ class HypothesisReport:
     radius: int
     report: Report
     m_alpha: float
-    phi: np.ndarray
+    phi_swept: int
+    path_nodes: int
+    graph: Graph = field(repr=False)
+    known_phi: np.ndarray = field(repr=False)
 
     @property
     def passed(self):
@@ -495,6 +661,20 @@ class HypothesisReport:
     def records(self):
         return self.report.records
 
+    @property
+    def phi(self):
+        """phi_alpha of every vertex, bit-identical to alpha_weights_all's.
+
+        The check knows it only where its capped sweep ran to the end;
+        the first read sweeps the other vertices, and later reads reuse
+        the array.
+        """
+        open_ = np.flatnonzero(np.isnan(self.known_phi))
+        if len(open_):
+            self.known_phi[open_] = alpha_weights_all(
+                self.graph, self.params.alpha, open_)
+        return self.known_phi
+
 
 def check_hypothesis(g, params, node_budget=DEFAULTS["node_budget"],
                      log_base=DEFAULTS["log_base"]):
@@ -503,11 +683,18 @@ def check_hypothesis(g, params, node_budget=DEFAULTS["node_budget"],
     Clause 1: tree excess of B(v, ceil(a*log n)) at most t, for all v.
     Clause 2: max path alpha-weight over paths of at most ceil(a*log n)
     edges strictly below delta*log n.  Logs use ``log_base``.
+
+    Clause 1 comes from a sweep whose BFS stops at the radius; a chunk of
+    sources whose BFS runs out first gives their exact phi as well.
+    Clause 2 sweeps only the vertices that max_path_alpha_weight's bounds
+    leave as candidates for the heaviest path.  The records equal those
+    of the full sweep.  The report's phi_swept counts the vertices whose
+    exact phi was computed, and path_nodes the path search's DFS nodes.
     """
     radius = log_radius(params.a, g.n, base=log_base)
     report = Report()
 
-    phi, excess = _sweep(g, alpha=params.alpha, radius=radius)
+    excess, phi = tree_excess_all(g, radius, alpha=params.alpha)
     bad = [int(v) for v in np.nonzero(excess > params.t)[0]]
     witness = [{"vertex": v, "excess": int(excess[v])}
                for v in bad[:20]]
@@ -532,8 +719,10 @@ def check_hypothesis(g, params, node_budget=DEFAULTS["node_budget"],
         value=mpw.value,
         bound=path_bound,
     ))
+    swept = int(np.count_nonzero(~np.isnan(phi))) + mpw.swept
     return HypothesisReport(params=params, radius=radius, report=report,
-                            m_alpha=mpw.value, phi=phi)
+                            m_alpha=mpw.value, phi_swept=swept,
+                            path_nodes=mpw.nodes, graph=g, known_phi=phi)
 
 
 def generate_er(n, d, seed):

@@ -15,6 +15,7 @@ from test_blocks import count_sweeps
 import glauberlab as gl
 from glauberlab import cli as gl_cli
 from glauberlab import exact as gl_exact
+from glauberlab import graphs as gl_graphs
 from glauberlab.cli import main
 
 
@@ -113,10 +114,63 @@ class TestCheck:
         assert sorted(checks["path-weight"]["witness"]["path"]) == \
             list(range(n))
 
+    def test_meta_reports_sweep_and_nodes(self, er_graph, tmp_path):
+        out = tmp_path / "check.json"
+        main(["check", str(er_graph), "--a", "0.2", "--alpha", "0.25",
+              "--t", "1", "--delta", "1.6", "--out", str(out)])
+        assert payload_digest(out) == "0a787b0e87e313c3"
+        doc = json.loads(out.read_text())
+        assert 1 <= doc["meta"]["phi_swept"] <= 1000
+        assert 1 <= doc["meta"]["path_nodes"]
+        assert not {"phi_swept", "path_nodes"} & set(doc["payload"])
+
+    def test_paper_constants_sweep_one_chunk(self, tmp_path, monkeypatch):
+        # the radius-2 sweep is capped; of full-depth sweeps, one chunk
+        # of candidates for the heaviest path
+        gp = tmp_path / "g.edges"
+        gl.write_edge_list(gl.generate_er(3500, 2.0, 1), gp)
+        chunks = count_chunks(monkeypatch)
+        out = tmp_path / "check.json"
+        assert main(["check", str(gp), "--a", "0.2", "--alpha", "0.25",
+                     "--t", "1", "--delta", "2.07", "--budget", "1000",
+                     "--out", str(out)]) in (0, 1)
+        meta = json.loads(out.read_text())["meta"]
+        full = [k for cap, k in chunks if cap is None]
+        assert {cap for cap, _ in chunks} == {None, 2}
+        assert len(full) == 1 and full[0] == meta["phi_swept"] <= 256
+        assert meta["path_nodes"] <= 1000
+
+    def test_short_path_sweeps_everything_once(self, tmp_path, monkeypatch):
+        # the capped sweep runs out before the radius, so it gives every
+        # phi and no full-depth sweep follows
+        gp = tmp_path / "path.edges"
+        gl.write_edge_list(gl.Graph(300, [(i, i + 1) for i in range(299)]),
+                           gp)
+        chunks = count_chunks(monkeypatch)
+        out = tmp_path / "check.json"
+        assert main(["check", str(gp), "--a", "60", "--alpha", "0.25",
+                     "--t", "1", "--delta", "2", "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["meta"]["phi_swept"] == 300
+        assert [cap for cap, _ in chunks] == [343, 343]
+
     def test_missing_file_is_invalid_input(self, tmp_path):
         code = main(["check", str(tmp_path / "nope.edges"), "--a", "1",
                      "--alpha", "0.5", "--t", "1", "--delta", "1"])
         assert code == 3
+
+
+def count_chunks(monkeypatch):
+    """Record each MS-BFS chunk as (depth cap, sources)."""
+    chunks = []
+    sweep = gl_graphs._distance_chunks
+
+    def counted(g, sources=None, cap=None):
+        for sel, code, far in sweep(g, sources, cap):
+            chunks.append((cap, len(sel)))
+            yield sel, code, far
+
+    monkeypatch.setattr(gl_graphs, "_distance_chunks", counted)
+    return chunks
 
 
 class TestDecompose:

@@ -218,6 +218,50 @@ class TestSweepEngine:
         assert rep.m_alpha == mpw.value
 
 
+class TestCappedSweep:
+    # A BFS stopped at depth cap gives the full codes up to the cap and
+    # far beyond it; a chunk whose BFS ran out first keeps its full codes,
+    # and only those chunks give phi.
+
+    @pytest.mark.parametrize("g", engine_cases())
+    def test_codes_match_full_depth(self, g):
+        full = list(graphs._distance_chunks(g))
+        ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+        for cap in (0, 1, 2, 5, 7, 8, 300):
+            capped = list(graphs._distance_chunks(g, cap=cap))
+            assert len(capped) == len(full)
+            for (sel, code, far), (fsel, fcode, ffar) in zip(capped, full):
+                assert np.array_equal(sel, fsel)
+                near = (fcode != ffar) & (fcode <= cap)
+                assert np.array_equal(code, np.where(near, fcode, far)), cap
+                deepest = int(fcode[fcode != ffar].max())
+                ran_out = graphs._ball_excess(code, far, cap, ends)[1]
+                assert ran_out == (deepest < cap), cap
+                if ran_out:
+                    assert far == ffar and np.array_equal(code, fcode)
+
+    @pytest.mark.parametrize("g", engine_cases())
+    def test_phi_only_where_the_bfs_ran_out(self, g):
+        ref = reference_rows(g)
+        phi = gl.alpha_weights_all(g, 0.3)
+        for l in (0, 1, 3, 8, 300):
+            excess, got = gl.tree_excess_all(g, l, alpha=0.3)
+            assert np.array_equal(excess, reference_excess(g, ref, l)), l
+            assert np.array_equal(excess, gl.tree_excess_all(g, l))
+            # a chunk ran out iff every finite distance from it is below l
+            for start in range(0, g.n, graphs._DIST_CHUNK):
+                rows = ref[start:start + graphs._DIST_CHUNK]
+                at = slice(start, start + len(rows))
+                if rows[np.isfinite(rows)].max() < l:
+                    assert np.array_equal(got[at], phi[at]), l
+                else:
+                    assert np.isnan(got[at]).all(), l
+
+    def test_tree_excess_alpha_validated(self):
+        with pytest.raises(ValueError):
+            gl.tree_excess_all(path3(), 2, alpha=1.0)
+
+
 class TestSweepSources:
     # A source's phi is summed over its own row in vertex order, so the
     # sweep over a subset gives the full sweep's bits at those vertices.
@@ -309,6 +353,207 @@ class TestMaxPathWeight:
         mpw = gl.max_path_alpha_weight(star4(), 0.5, 0)
         assert mpw.value == pytest.approx(1.5)
         assert mpw.path == (0,)
+
+
+def reference_heaviest_path(g, phi, l):
+    """The first path in (root order, adjacency preorder) of the greatest
+    phi sum, by plain enumeration of every path of at most l edges; roots
+    go by decreasing phi, ties by index, and sums run from 0.0 along the
+    path, as in the search."""
+    phi = [float(x) for x in phi]
+    best, best_path = -math.inf, ()
+
+    def extend(path, total):
+        nonlocal best, best_path
+        if total > best:
+            best, best_path = total, tuple(path)
+        if len(path) <= l:
+            for w in g.adj[path[-1]]:
+                if w not in path:
+                    path.append(w)
+                    extend(path, total + phi[w])
+                    path.pop()
+
+    for v in sorted(range(g.n), key=lambda v: -phi[v]):
+        extend([v], 0.0 + phi[v])
+    return best, best_path
+
+
+def complete_graph(n):
+    return gl.Graph(n, [(u, v) for v in range(n) for u in range(v)])
+
+
+def cycle(n):
+    return gl.Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def petersen():
+    return gl.Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                    + [(i, i + 5) for i in range(5)]
+                    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def random_regular(n, d, seed):
+    """A uniform d-regular simple graph by the pairing model, retried
+    until the pairing has no loop or repeated pair."""
+    rng = np.random.default_rng(seed)
+    while True:
+        points = rng.permutation(np.repeat(np.arange(n), d)).reshape(-1, 2)
+        pairs = {(min(u, v), max(u, v)) for u, v in points.tolist()}
+        if len(pairs) == len(points) and all(u != v for u, v in pairs):
+            return gl.Graph(n, pairs)
+
+
+def disjoint_union(*parts):
+    edges, base = [], 0
+    for h in parts:
+        edges += [(u + base, v + base) for u, v in h.edges]
+        base += h.n
+    return gl.Graph(base, edges)
+
+
+def oracle_graphs():
+    yield pytest.param(gl.Graph(0, []), id="n=0")
+    yield pytest.param(gl.Graph(1, []), id="n=1")
+    yield pytest.param(gl.Graph(2, []), id="n=2-edgeless")
+    yield pytest.param(gl.Graph(2, [(0, 1)]), id="n=2-edge")
+    yield pytest.param(gl.Graph(90, []), id="edgeless-90")
+    yield pytest.param(disjoint_union(complete_graph(4), cycle(7), path3(),
+                                      gl.Graph(5, []), petersen()),
+                       id="disconnected")
+    # on K70 every vertex is a candidate, past the first 64 swept
+    for n in (3, 6, 9, 70):
+        yield pytest.param(complete_graph(n), id=f"K{n}")
+    for n in (5, 12, 130):
+        yield pytest.param(cycle(n), id=f"C{n}")
+    yield pytest.param(petersen(), id="petersen")
+    for n, d, seed in ((12, 3, 1), (40, 3, 2), (150, 3, 3), (60, 4, 4)):
+        yield pytest.param(random_regular(n, d, seed),
+                           id=f"regular-{n}-{d}")
+    yield pytest.param(gl.random_tree(120, seed=5), id="tree-120")
+    yield pytest.param(gl.Graph(200, [(i, i + 1) for i in range(199)]),
+                       id="path-200")
+    for n, d in ((30, 3.0), (100, 1.0), (300, 2.0), (500, 2.5)):
+        yield pytest.param(gl.generate_er(n, d, seed=n + int(d)),
+                           id=f"er-{n}-{d}")
+
+
+ORACLE_ALPHAS = (0.05, 0.25, 0.5, 0.75, 0.95)
+
+
+class TestPathSearch:
+    # The search sweeps phi only at the candidates of its bounds; its
+    # value and witness are those of the search over the exact phi.
+
+    @pytest.mark.parametrize("phi", [None, [1.0, 1.0, 1.0]])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5])
+    def test_alpha_validated_first(self, monkeypatch, phi, alpha):
+        def no_bounds(*args):
+            raise AssertionError("a bound ran before alpha was checked")
+        monkeypatch.setattr(graphs, "_walk_bounds", no_bounds)
+        monkeypatch.setattr(graphs, "_sweep", no_bounds)
+        with pytest.raises(ValueError, match="alpha"):
+            gl.max_path_alpha_weight(path3(), alpha, 2, phi=phi)
+
+    def test_empty_and_single_vertex(self):
+        assert gl.max_path_alpha_weight(gl.Graph(0, []), 0.5, 3) == \
+            graphs.MaxPathWeight(0.0, ())
+        one = gl.max_path_alpha_weight(gl.Graph(1, []), 0.5, 3)
+        assert (one.value, one.path, one.swept, one.nodes) == \
+            (0.0, (0,), 1, 1)
+
+    @pytest.mark.parametrize("g", [pytest.param(g, id=repr(g))
+                                   for g in small_cases()] + [
+        pytest.param(petersen(), id="petersen"),
+        pytest.param(complete_graph(6), id="K6"),
+        pytest.param(cycle(9), id="C9"),
+        pytest.param(disjoint_union(cycle(4), path3(), gl.Graph(2, [])),
+                     id="disconnected")])
+    def test_matches_plain_enumeration(self, g):
+        for alpha in ORACLE_ALPHAS:
+            phi = gl.alpha_weights_all(g, alpha)
+            for l in range(5):
+                want = reference_heaviest_path(g, phi, l)
+                for given in (None, phi):
+                    got = gl.max_path_alpha_weight(g, alpha, l, phi=given)
+                    assert (got.value, got.path) == want, (alpha, l)
+
+    def test_bounds_cover_every_path(self):
+        # B(v) is at least the bound-weight of each path through v, for
+        # one split run per split and for runs of several
+        for seed in range(6):
+            g = gl.generate_er(11, 2.0 + seed / 2, seed)
+            upper = graphs._phi_upper(g, 0.5)
+            for l in range(7):
+                heaviest = [max(upper[list(p)].sum()
+                                for p in paths_through(g, v, l))
+                            for v in range(g.n)]
+                for splits in (1, 2, 16):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(graphs, "_SPLITS", splits)
+                        bound = graphs._path_bounds(g, upper, l)
+                    assert np.all(bound >= np.array(heaviest) * (1 - 1e-12))
+
+
+def paths_through(g, v, l):
+    """Every path of at most l edges with v on it."""
+    out = []
+
+    def extend(path):
+        if v in path:
+            out.append(tuple(path))
+        if len(path) <= l:
+            for w in g.adj[path[-1]]:
+                if w not in path:
+                    path.append(w)
+                    extend(path)
+                    path.pop()
+
+    for s in range(g.n):
+        extend([s])
+    return out
+
+
+def expected_records(g, hp, radius):
+    """check_hypothesis's records from the full-depth sweep: tree excess
+    at the radius, and the path search over the exact phi."""
+    excess = gl.tree_excess_all(g, radius)
+    phi = gl.alpha_weights_all(g, hp.alpha)
+    mpw = gl.max_path_alpha_weight(g, hp.alpha, radius, phi=phi)
+    bad = [int(v) for v in np.nonzero(excess > hp.t)[0]]
+    path_bound = hp.delta * math.log(g.n) if g.n > 1 else 0.0
+    return mpw.value, [
+        gl.CheckRecord(
+            check="tree-excess", passed=not bad,
+            witness={"violations": len(bad),
+                     "first": [{"vertex": v, "excess": int(excess[v])}
+                               for v in bad[:20]]},
+            value=int(excess.max()) if g.n else 0, bound=hp.t),
+        gl.CheckRecord(
+            check="path-weight", passed=mpw.value < path_bound,
+            witness={"path": list(mpw.path)}, value=mpw.value,
+            bound=path_bound),
+    ]
+
+
+class TestCheckOracle:
+    # check_hypothesis against the full sweep, over 5 alphas and radii
+    # 1-4 (0 below two vertices) on each graph: 480 seeded cases.
+
+    @pytest.mark.parametrize("g", oracle_graphs())
+    def test_equals_full_sweep(self, g):
+        for alpha in ORACLE_ALPHAS:
+            for l in range(1, 5):
+                a = (l - 0.5) / math.log(g.n) if g.n > 1 else 1.0
+                hp = gl.HypothesisParams(a=a, alpha=alpha, t=1, delta=2.0)
+                rep = gl.check_hypothesis(g, hp)
+                assert rep.radius == (l if g.n > 1 else 0)
+                m_alpha, records = expected_records(g, hp, rep.radius)
+                assert rep.records == records, (alpha, l)
+                assert rep.m_alpha == m_alpha
+                assert 0 <= rep.phi_swept <= g.n
+                assert np.array_equal(rep.phi,
+                                      gl.alpha_weights_all(g, alpha))
 
 
 class TestBoundaries:
