@@ -1,9 +1,11 @@
 """Single-site and block Gibbs samplers, couplings, and probes.
 
-The single-site update consumes randomness in a fixed order (laziness
-coin, then vertex, then one uniform for the heat-bath draw) so that runs,
-checkpoints, and couplings are reproducible bit for bit.  A held lazy
-step consumes only the coin.
+Every single-site and coupled chain takes its randomness from one
+generator, ``_site_draws``, in a fixed order (laziness coin, then vertex,
+then one uniform for the heat-bath draw), so that runs, checkpoints, and
+couplings are reproducible bit for bit.  A held lazy step consumes only
+the coin.  Chains yield their moves as (step, vertex, previous state), and
+one traced loop writes the trace rows of single-site and block chains.
 """
 
 import itertools
@@ -42,31 +44,52 @@ def _checked_start(model, graph, start, steps):
     return start
 
 
-def _single_site(kernel, rng, lazy):
-    """``step(config)``: one update in place, in the module's draw order.
+def _site_draws(rng, n, lazy, steps):
+    """Yield (t, v, u) for each step t in 1..steps that a lazy coin does
+    not hold: coin, then vertex, then uniform, in the module's order.
 
-    Returns the (vertex, previous state) pairs it rewrote: one, or none
-    when a lazy step holds.
+    The vertex is read off ``rng.getrandbits(n.bit_length())`` with the
+    rejection loop that ``random.Random.randrange(n)`` runs
+    (``_randbelow_with_getrandbits``, CPython 3.10-3.13), so every draw,
+    and the RNG state after it, equals randrange's.  With no
+    vertices every step holds and nothing is drawn.
+    """
+    if not n:
+        return
+    random = rng.random
+    bits = rng.getrandbits
+    k = n.bit_length()
+    for t in range(1, steps + 1):
+        if lazy and random() < 0.5:
+            continue
+        v = bits(k)
+        while v >= n:
+            v = bits(k)
+        yield t, v, random()
+
+
+def _single_site(kernel, rng, lazy):
+    """``moves(config, steps)``: the chain's updates of config in place.
+
+    For each step t that a lazy coin does not hold, redraws config[v] and
+    yields (t, v, previous state of v).
     """
     n = kernel.graph.n
     draw = kernel.draw
-    coin = uniform = rng.random
-    vertex = rng.randrange
 
-    def step(config):
-        if lazy and coin() < 0.5:
-            return ()
-        v = vertex(n)
-        old = config[v]
-        config[v] = draw(config, v, uniform())
-        return ((v, old),)
-    return step
+    def moves(config, steps):
+        for t, v, u in _site_draws(rng, n, lazy, steps):
+            old = config[v]
+            config[v] = draw(config, v, u)
+            yield t, v, old
+    return moves
 
 
-def _traced(model, graph, start, steps, rng, step, reference=None,
+def _traced(model, graph, start, steps, rng, moves, reference=None,
             stride=None):
-    """Run ``step`` from start with run_chain's trace rows, keeping
-    hamming and active from the pairs each step reports."""
+    """Run ``moves`` from start with run_chain's trace rows, keeping
+    hamming and active from the moves it yields.  Several moves may share
+    a step; a step with none holds."""
     start = _checked_start(model, graph, start, steps)
     reference = start if reference is None else tuple(reference)
     if stride is None:
@@ -77,14 +100,19 @@ def _traced(model, graph, start, steps, rng, step, reference=None,
     hamming = sum(1 for a, b in zip(config, reference) if a != b)
     active = sum(1 for a in config if a != 0)
     trace = [(0, hamming, active)]
-    for t in range(1, steps + 1):
-        for v, old in step(config):
-            new = config[v]
-            if old != new:
-                hamming += (new != reference[v]) - (old != reference[v])
-                active += (new != 0) - (old != 0)
-        if t % stride == 0 or t == steps:
-            trace.append((t, hamming, active))
+    row = stride
+    for t, v, old in moves(config, steps):
+        # rows of the steps before t, which this move follows
+        while row < t:
+            trace.append((row, hamming, active))
+            row += stride
+        new = config[v]
+        if old != new:
+            hamming += (new != reference[v]) - (old != reference[v])
+            active += (new != 0) - (old != 0)
+    trace.extend((r, hamming, active) for r in range(row, steps + 1, stride))
+    if steps % stride:
+        trace.append((steps, hamming, active))
     return ChainState(config=tuple(config), step=steps, rng=rng), trace
 
 
@@ -98,23 +126,27 @@ def run_chain(model, graph, start, steps, seed=0, lazy=True,
     stride defaults to about 10^4 rows per run.
     """
     rng = make_rng(seed, "chain")
-    step = _single_site(HeatBath(model, graph), rng, lazy)
-    return _traced(model, graph, start, steps, rng, step, reference, stride)
+    moves = _single_site(HeatBath(model, graph), rng, lazy)
+    return _traced(model, graph, start, steps, rng, moves, reference, stride)
 
 
 def visit_counts(model, graph, start, steps, seed=0, lazy=True):
     """Empirical law over the configurations seen after each update."""
     start = _checked_start(model, graph, start, steps)
-    step = _single_site(HeatBath(model, graph), make_rng(seed, "chain"),
-                        lazy)
+    moves = _single_site(HeatBath(model, graph), make_rng(seed, "chain"),
+                         lazy)
     config = list(start)
     cur = start
+    since = 1  # the first step of cur's current run
     counts = {}
-    for _ in range(steps):
-        for v, old in step(config):
-            if config[v] != old:
-                cur = tuple(config)
-        counts[cur] = counts.get(cur, 0) + 1
+    for t, v, old in moves(config, steps):
+        if config[v] != old:
+            if t > since:
+                counts[cur] = counts.get(cur, 0) + t - since
+            cur = tuple(config)
+            since = t
+    if steps >= since:
+        counts[cur] = counts.get(cur, 0) + steps + 1 - since
     return counts
 
 
@@ -138,8 +170,8 @@ def read_checkpoint(path):
 
 def resume_chain(model, graph, state, steps, lazy=True):
     """Continue a checkpointed run; extends it by ``steps`` updates."""
-    step = _single_site(HeatBath(model, graph), state.rng, lazy)
-    end, _ = _traced(model, graph, state.config, steps, state.rng, step)
+    moves = _single_site(HeatBath(model, graph), state.rng, lazy)
+    end, _ = _traced(model, graph, state.config, steps, state.rng, moves)
     return ChainState(config=end.config, step=state.step + steps,
                       rng=state.rng)
 
@@ -166,16 +198,9 @@ def coalescence_time(model, graph, start_a, start_b, horizon, seed=0,
     if not disagree:
         return 0
     off = [d + sum(diff[w] for w in adj[v]) for v, d in enumerate(diff)]
-    n = graph.n
-    coin = uniform = rng.random
-    vertex = rng.randrange
     draw = kernel.draw
     couple = kernel.couple
-    for step in range(1, horizon + 1):
-        if lazy and coin() < 0.5:
-            continue
-        v = vertex(n)
-        u = uniform()
+    for step, v, u in _site_draws(rng, graph.n, lazy, horizon):
         if not off[v]:
             a[v] = b[v] = draw(a, v, u)
             continue
@@ -217,15 +242,14 @@ def contraction_probe(model, graph, pairs=20, seed=0):
     results = []
     worst = None
     for k in range(pairs):
-        step = _single_site(kernel, make_rng(seed, "probe", k), False)
+        moves = _single_site(kernel, make_rng(seed, "probe", k), False)
         config = list(start)
-        for _ in range(10 * n):
-            step(config)
+        for _ in moves(config, 10 * n):
+            pass
         # one more update on a copy: the first that changes its vertex
         # leaves the twin one flip away from config
         twin = list(config)
-        for _ in range(10 * n):
-            (v0, old), = step(twin)
+        for _, v0, old in moves(twin, 10 * n):
             if twin[v0] != old:
                 break
         else:
@@ -363,11 +387,11 @@ def run_block_chain(model, graph, partition, start, steps, seed=0,
     blocks = partition.blocks
     before = list(start)
 
-    def step(config):
-        k = block_step(model, graph, partition, config, rng, laws=laws)
-        moved = []
-        for v in blocks[k].vertices:
-            moved.append((v, before[v]))
-            before[v] = config[v]
-        return moved
-    return _traced(model, graph, start, steps, rng, step, reference, stride)
+    def moves(config, steps):
+        for t in range(1, steps + 1):
+            k = block_step(model, graph, partition, config, rng, laws=laws)
+            for v in blocks[k].vertices:
+                old = before[v]
+                before[v] = config[v]
+                yield t, v, old
+    return _traced(model, graph, start, steps, rng, moves, reference, stride)

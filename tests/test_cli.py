@@ -401,6 +401,24 @@ class TestSample:
                      "--steps", "10", "--out", str(out)]) == 3
         assert not out.exists()
 
+    # a chain on no vertices holds at every step, whatever its lazy coins
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_empty_graph_holds(self, triangle_files, tmp_path, seed):
+        _, mp = triangle_files
+        gp = tmp_path / "empty.edges"
+        gp.write_text("0 0\n")
+        out = tmp_path / "r"
+        assert main(["sample", "--model", str(mp), "--graph", str(gp),
+                     "--steps", "1", "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())["payload"]
+        assert (payload["final"], payload["trace_rows"]) == ([], 2)
+        rows = list(csv.DictReader(
+            (tmp_path / "r.trace.csv").read_text().splitlines()))
+        assert [tuple(map(int, r.values())) for r in rows] == [
+            (0, 0, 0), (1, 0, 0)]
+        assert gl.read_checkpoint(tmp_path / "r.ckpt").config == ()
+
     @pytest.mark.parametrize("flag", [["--stride", "0"], ["--steps", "-5"]])
     def test_bad_chain_length_is_invalid(self, triangle_files, tmp_path,
                                          flag):

@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 import math
+import random
 
 import pytest
 
 import glauberlab as gl
 from glauberlab import dynamics
+from glauberlab import rng as gl_rng
 from glauberlab.cli import _scaling_start_pair
 from glauberlab.trees import _child_conditional
 from glauberlab.zoo import skeleton_block_cases
@@ -628,3 +631,422 @@ class TestComposeBlockLaw:
         assert boundary
         with pytest.raises(ValueError, match="boundary missing state"):
             gl.compose_block_law(model, graph, block, {})
+
+
+# The chain loops as they stood before every single-site and coupled chain
+# drew through dynamics._site_draws: a per-step closure that calls
+# rng.randrange, the traced loop over its (vertex, old) pairs, and
+# coalescence_time's own copy of the coin -> vertex -> uniform order.
+# Every generator is seeded through glauberlab.rng.make_rng, so a test can
+# record it.
+
+def reference_single_site(kernel, rng, lazy):
+    n = kernel.graph.n
+    draw = kernel.draw
+    coin = uniform = rng.random
+    vertex = rng.randrange
+
+    def step(config):
+        if lazy and coin() < 0.5:
+            return ()
+        v = vertex(n)
+        old = config[v]
+        config[v] = draw(config, v, uniform())
+        return ((v, old),)
+    return step
+
+
+def reference_traced(model, graph, start, steps, rng, step, reference=None,
+                     stride=None):
+    start = dynamics._checked_start(model, graph, start, steps)
+    reference = start if reference is None else tuple(reference)
+    if stride is None:
+        stride = max(1, steps // 10 ** 4)
+    elif stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
+    config = list(start)
+    hamming = sum(1 for a, b in zip(config, reference) if a != b)
+    active = sum(1 for a in config if a != 0)
+    trace = [(0, hamming, active)]
+    for t in range(1, steps + 1):
+        for v, old in step(config):
+            new = config[v]
+            if old != new:
+                hamming += (new != reference[v]) - (old != reference[v])
+                active += (new != 0) - (old != 0)
+        if t % stride == 0 or t == steps:
+            trace.append((t, hamming, active))
+    return gl.ChainState(config=tuple(config), step=steps, rng=rng), trace
+
+
+def reference_run_chain(model, graph, start, steps, seed=0, lazy=True,
+                        reference=None, stride=None):
+    rng = gl_rng.make_rng(seed, "chain")
+    step = reference_single_site(gl.HeatBath(model, graph), rng, lazy)
+    return reference_traced(model, graph, start, steps, rng, step,
+                            reference, stride)
+
+
+def reference_resume_chain(model, graph, state, steps, lazy=True):
+    step = reference_single_site(gl.HeatBath(model, graph), state.rng, lazy)
+    end, _ = reference_traced(model, graph, state.config, steps, state.rng,
+                              step)
+    return gl.ChainState(config=end.config, step=state.step + steps,
+                         rng=state.rng)
+
+
+def reference_visit_counts(model, graph, start, steps, seed=0, lazy=True):
+    start = dynamics._checked_start(model, graph, start, steps)
+    step = reference_single_site(gl.HeatBath(model, graph),
+                                 gl_rng.make_rng(seed, "chain"), lazy)
+    config = list(start)
+    cur = start
+    counts = {}
+    for _ in range(steps):
+        for v, old in step(config):
+            if config[v] != old:
+                cur = tuple(config)
+        counts[cur] = counts.get(cur, 0) + 1
+    return counts
+
+
+def reference_coalescence_time(model, graph, start_a, start_b, horizon,
+                               seed=0, lazy=True):
+    rng = gl_rng.make_rng(seed, "couple")
+    kernel = gl.HeatBath(model, graph)
+    a = list(start_a)
+    b = list(start_b)
+    adj = graph.adj
+    diff = [x != y for x, y in zip(a, b)]
+    disagree = sum(diff)
+    if not disagree:
+        return 0
+    off = [d + sum(diff[w] for w in adj[v]) for v, d in enumerate(diff)]
+    n = graph.n
+    coin = uniform = rng.random
+    vertex = rng.randrange
+    draw = kernel.draw
+    couple = kernel.couple
+    for step in range(1, horizon + 1):
+        if lazy and coin() < 0.5:
+            continue
+        v = vertex(n)
+        u = uniform()
+        if not off[v]:
+            a[v] = b[v] = draw(a, v, u)
+            continue
+        x, y = couple(a, b, v, u)
+        a[v] = x
+        b[v] = y
+        if (x != y) != diff[v]:
+            diff[v] = x != y
+            flip = 1 if diff[v] else -1
+            off[v] += flip
+            for w in adj[v]:
+                off[w] += flip
+            disagree += flip
+            if not disagree:
+                return step
+    return None
+
+
+def reference_contraction_probe(model, graph, pairs=20, seed=0):
+    n = graph.n
+    start = gl.initial_configuration(model, graph)
+    kernel = gl.HeatBath(model, graph)
+    results = []
+    worst = None
+    for k in range(pairs):
+        step = reference_single_site(kernel,
+                                     gl_rng.make_rng(seed, "probe", k), False)
+        config = list(start)
+        for _ in range(10 * n):
+            step(config)
+        twin = list(config)
+        for _ in range(10 * n):
+            (v0, old), = step(twin)
+            if twin[v0] != old:
+                break
+        else:
+            raise gl.NoFeasibleStateError(
+                "no unit pair found: every sampled vertex is frozen")
+        tv_sum = 0.0
+        for w in graph.adj[v0]:
+            p = kernel.pmf(config, w)
+            q = kernel.pmf(twin, w)
+            tv_sum += 0.5 * sum(abs(a - b) for a, b in zip(p, q))
+        delta = (-1.0 + tv_sum) / n
+        results.append({"vertex": v0, "delta": delta, "tv_sum": tv_sum})
+        worst = delta if worst is None else max(worst, delta)
+    return dynamics.ProbeResult(worst_delta=worst, implied_c=-worst * n,
+                                pairs=results)
+
+
+def reference_run_block_chain(model, graph, partition, start, steps, seed=0,
+                              reference=None, stride=None):
+    start = tuple(start)
+    rng = gl_rng.make_rng(seed, "block-chain")
+    laws = dynamics._BlockLaws(model, graph, partition.blocks,
+                               gl.HeatBath(model, graph))
+    blocks = partition.blocks
+    before = list(start)
+
+    def step(config):
+        k = gl.block_step(model, graph, partition, config, rng, laws=laws)
+        moved = []
+        for v in blocks[k].vertices:
+            moved.append((v, before[v]))
+            before[v] = config[v]
+        return moved
+    return reference_traced(model, graph, start, steps, rng, step,
+                            reference, stride)
+
+
+@dataclasses.dataclass
+class OracleCase:
+    seed: int
+    model: object
+    graph: object
+    start: tuple
+    steps: int
+    stride: object
+    lazy: bool
+    partition: object
+
+
+# 1 = 2^0, 2^k and 2^k + 1: sizes where the vertex draw rejects about half
+# of its getrandbits words
+ORACLE_SIZES = (1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65)
+ORACLE_STEPS = (0, 1, 7, 1000)
+
+
+def oracle_cases():
+    """Seeded chains across sizes, lengths, strides, laziness and model
+    kinds.  Every graph has isolated vertices (the last, at least) and
+    maximum degree at most 4, and below q for a coloring, so a greedy
+    coloring starts it; its tree components are tree blocks."""
+    rng = random.Random(20261020)
+    cases = []
+    for i in range(320):
+        n = ORACLE_SIZES[i % len(ORACLE_SIZES)]
+        steps = ORACLE_STEPS[i % len(ORACLE_STEPS)]
+        stride = (1, 3, steps, steps + 1, None)[i // 4 % 5]
+        kind = i // 20 % 4
+        if kind == 0:
+            model = gl.coloring_model(rng.randint(3, 20))
+        elif kind == 1:
+            model = gl.hardcore_model(-rng.uniform(0.1, 3.0))
+        elif kind == 2:
+            model = gl.hardcore_model(rng.uniform(0.1, 3.0))
+        else:
+            q = rng.randint(2, 4)
+            g = [[0.0] * q for _ in range(q)]
+            for x in range(q):
+                for y in range(x, q):
+                    g[x][y] = g[y][x] = rng.uniform(-1.5, 1.5)
+            model = gl.soft_model([rng.uniform(-1, 1) for _ in range(q)], g)
+        cap = min(4, model.q - 1) if model.kind == "coloring" else 4
+        deg = [0] * n
+        edges = set()
+        for _ in range(n):
+            u, v = sorted(rng.sample(range(n - 1), 2)) if n > 2 else (0, 0)
+            if u != v and deg[u] < cap and deg[v] < cap \
+                    and (u, v) not in edges:
+                edges.add((u, v))
+                deg[u] += 1
+                deg[v] += 1
+        graph = gl.Graph(n, sorted(edges))
+        cases.append(OracleCase(
+            seed=i, model=model, graph=graph,
+            start=tuple(gl.initial_configuration(model, graph)),
+            steps=steps, stride=stride, lazy=bool(i // 80 % 2),
+            partition=tree_block_partition(graph)))
+    return cases
+
+
+def tree_block_partition(graph):
+    """One tree block per connected component of 2 to 6 vertices that is
+    a tree; every other vertex is a singleton."""
+    parent = list(range(graph.n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in graph.edges:
+        parent[root(u)] = root(v)
+    comps = {}
+    for v in range(graph.n):
+        comps.setdefault(root(v), []).append(v)
+    blocks = []
+    for verts in comps.values():
+        inner = sum(len(graph.adj[v]) for v in verts) // 2
+        if 2 <= len(verts) <= 6 and inner == len(verts) - 1:
+            blocks.append(gl.Block(kind="tree", vertices=tuple(verts)))
+        else:
+            blocks += [gl.Block(kind="singleton", vertices=(v,))
+                       for v in verts]
+    return gl.BlockPartition(blocks=tuple(blocks), L=1.0, log_base=math.e)
+
+
+@pytest.fixture(scope="module")
+def cases():
+    return oracle_cases()
+
+
+@pytest.fixture()
+def seeded(monkeypatch):
+    """``call(fn, *args)``: fn's result, or the type of the ValueError it
+    raised, and the final state of each generator it seeded."""
+    make_rng = gl_rng.make_rng
+
+    def call(fn, *args, **kwargs):
+        made = []
+
+        def recorded(*tags):
+            made.append(make_rng(*tags))
+            return made[-1]
+
+        monkeypatch.setattr(dynamics, "make_rng", recorded)
+        monkeypatch.setattr(gl_rng, "make_rng", recorded)
+        try:
+            out = fn(*args, **kwargs)
+        except ValueError as exc:
+            out = type(exc)
+        finally:
+            monkeypatch.undo()
+        return out, [r.getstate() for r in made]
+    return call
+
+
+def chain_key(out):
+    if isinstance(out, type):
+        return out
+    state, trace = out
+    return state.config, state.step, trace, state.rng.getstate()
+
+
+class TestReferenceLoops:
+    """Every chain equals the loops it replaced, draw for draw: its
+    output, its trace and the state of every generator it seeded."""
+
+    def test_cases_cover_the_grid(self, cases):
+        assert len(cases) >= 300
+        assert {c.graph.n for c in cases} == set(ORACLE_SIZES)
+        assert {c.steps for c in cases} == set(ORACLE_STEPS)
+        assert {(c.steps, c.stride) for c in cases} == {
+            (s, k) for s in ORACLE_STEPS for k in (1, 3, s, s + 1, None)}
+        assert {c.lazy for c in cases} == {True, False}
+        assert {(c.model.kind, c.model.kind != "hardcore"
+                 or c.model.beta > 0) for c in cases} == {
+            ("coloring", True), ("hardcore", False), ("hardcore", True),
+            ("soft", True)}
+        qs = {c.model.q for c in cases if c.model.kind == "coloring"}
+        assert min(qs) == 3 and max(qs) == 20
+        assert all(not c.graph.adj[c.graph.n - 1] for c in cases)
+        assert any(b.kind == "tree" for c in cases
+                   for b in c.partition.blocks)
+
+    def test_run_chain(self, cases, seeded):
+        for c in cases:
+            args = (c.model, c.graph, c.start, c.steps)
+            kw = dict(seed=c.seed, lazy=c.lazy, stride=c.stride,
+                      reference=c.start[::-1])
+            got, got_rngs = seeded(gl.run_chain, *args, **kw)
+            want, want_rngs = seeded(reference_run_chain, *args, **kw)
+            assert chain_key(got) == chain_key(want), c
+            assert got_rngs == want_rngs, c
+
+    def test_resume_chain(self, cases):
+        for c in cases:
+            state, _ = reference_run_chain(c.model, c.graph, c.start,
+                                           c.steps, seed=c.seed, lazy=c.lazy)
+            twin = gl.ChainState(config=state.config, step=state.step,
+                                 rng=gl_rng.rng_state_from_hex(
+                                     gl_rng.rng_state_to_hex(state.rng)))
+            got = gl.resume_chain(c.model, c.graph, state, c.steps,
+                                  lazy=c.lazy)
+            want = reference_resume_chain(c.model, c.graph, twin, c.steps,
+                                          lazy=c.lazy)
+            assert (got.config, got.step, got.rng.getstate()) == (
+                want.config, want.step, want.rng.getstate()), c
+
+    def test_visit_counts(self, cases, seeded):
+        for c in cases:
+            args = (c.model, c.graph, c.start, c.steps)
+            kw = dict(seed=c.seed, lazy=c.lazy)
+            got, got_rngs = seeded(gl.visit_counts, *args, **kw)
+            want, want_rngs = seeded(reference_visit_counts, *args, **kw)
+            # same counts, first seen in the same order
+            assert list(got.items()) == list(want.items()), c
+            assert got_rngs == want_rngs, c
+
+    def test_coalescence_time(self, cases, seeded):
+        for c in cases:
+            other, _ = reference_run_chain(c.model, c.graph, c.start, 50,
+                                           seed=c.seed + 1)
+            args = (c.model, c.graph, c.start, other.config, c.steps)
+            kw = dict(seed=c.seed, lazy=c.lazy)
+            got, got_rngs = seeded(gl.coalescence_time, *args, **kw)
+            want, want_rngs = seeded(reference_coalescence_time, *args, **kw)
+            assert got == want, c
+            assert got_rngs == want_rngs, c
+
+    def test_contraction_probe(self, cases, seeded):
+        for c in cases:
+            args = (c.model, c.graph)
+            kw = dict(pairs=2, seed=c.seed)
+            got, got_rngs = seeded(gl.contraction_probe, *args, **kw)
+            want, want_rngs = seeded(reference_contraction_probe, *args,
+                                     **kw)
+            if not isinstance(got, type):
+                got = (got.worst_delta, got.implied_c, got.pairs)
+                want = (want.worst_delta, want.implied_c, want.pairs)
+            assert got == want, c
+            assert got_rngs == want_rngs, c
+
+    def test_run_block_chain(self, cases, seeded):
+        for c in cases:
+            args = (c.model, c.graph, c.partition, c.start, c.steps)
+            kw = dict(seed=c.seed, stride=c.stride, reference=c.start[::-1])
+            got, got_rngs = seeded(gl.run_block_chain, *args, **kw)
+            want, want_rngs = seeded(reference_run_block_chain, *args, **kw)
+            assert chain_key(got) == chain_key(want), c
+            assert got_rngs == want_rngs, c
+
+
+# 2^k and 2^k + 1, where the vertex draw rejects about half of its
+# getrandbits words, and 2^k - 1, where it rejects almost none
+GUARD_SIZES = sorted({1, 2, 3, 5000} | {2 ** k + d for k in range(1, 21)
+                                         for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("n", GUARD_SIZES)
+def test_site_draws_equal_randrange(n):
+    # the inline rejection loop is CPython's _randbelow_with_getrandbits;
+    # a Python whose randrange(n) draws otherwise fails here
+    for seed in range(20):
+        rng = gl.make_rng(seed, "guard")
+        twin = gl.make_rng(seed, "guard")
+        got = list(dynamics._site_draws(rng, n, False, 5))
+        want = [(t, twin.randrange(n), twin.random()) for t in range(1, 6)]
+        assert got == want
+        assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+def test_site_draws_on_no_vertices_draw_nothing(lazy):
+    rng = gl.make_rng(1, "chain")
+    before = rng.getstate()
+    assert list(dynamics._site_draws(rng, 0, lazy, 100)) == []
+    assert rng.getstate() == before
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+def test_empty_graph_chains_hold(lazy):
+    m, g = gl.coloring_model(3), gl.Graph(0, [])
+    assert gl.visit_counts(m, g, (), 25, seed=1, lazy=lazy) == {(): 25}
+    st, trace = gl.run_chain(m, g, (), 7, seed=1, lazy=lazy, stride=3)
+    assert st.config == () and st.step == 7
+    assert trace == [(0, 0, 0), (3, 0, 0), (6, 0, 0), (7, 0, 0)]
