@@ -4,8 +4,8 @@ Every command is deterministic given its argument list; wall-clock values
 live only in the "meta" section of the output document, so the "payload"
 section is byte-stable and safe to digest in regression tests.
 
-Exit codes: 0 pass, 1 check failure, 2 budget or horizon exhaustion,
-3 invalid input.
+Exit codes: 0 pass, 1 check failure, 2 budget, horizon or memory
+exhaustion, 3 invalid input.
 """
 
 import argparse
@@ -488,6 +488,10 @@ def main(argv=None):
         return args.func(args, cfg)
     except (BudgetExceededError, HorizonExceededError) as exc:
         print(f"{args.command}: budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print(f"{args.command}: budget exhausted: out of memory",
+              file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError, KeyError) as exc:
         print(f"{args.command}: invalid input: {exc}", file=sys.stderr)

@@ -22,7 +22,8 @@ class PaletteExhaustedError(ValueError):
 
 
 class DegenerateChainError(ValueError):
-    """The chain is reducible, so its relaxation time is undefined."""
+    """The chain is reducible, or its stationary law underflows to 0 at
+    some state, so its relaxation time is undefined."""
 
 
 class SkeletonBoundError(ValueError):

@@ -186,14 +186,26 @@ def is_irreducible(chain):
     return bool(seen.all())
 
 
-def spectrum(chain):
-    """Real eigenvalues of P via the pi-symmetrized form, ascending."""
+def _symmetrized(chain):
+    """M = D^1/2 P D^-1/2 with D = diag(pi), made exactly symmetric as
+    (M + M^T)/2; P is reversible, so M shares P's real spectrum.
+
+    A state whose stationary mass underflows to 0 leaves M undefined.
+    """
     if chain.P is None:
         raise ValueError("transition matrix not built")
+    zero = int((chain.pi == 0.0).sum())
+    if zero:
+        raise DegenerateChainError(
+            f"stationary mass underflows to 0 at {zero} states")
     d = np.sqrt(chain.pi)
     M = (d[:, None] / d[None, :]) * chain.P
-    M = 0.5 * (M + M.T)
-    return np.linalg.eigvalsh(M)
+    return 0.5 * (M + M.T)
+
+
+def spectrum(chain):
+    """Real eigenvalues of P via the pi-symmetrized form, ascending."""
+    return np.linalg.eigvalsh(_symmetrized(chain))
 
 
 def relaxation_time(chain):
@@ -225,43 +237,92 @@ def _worst_tv(mat, pi):
     return float(0.5 * np.abs(mat - pi[None, :]).sum(axis=1).max())
 
 
+def _power_tv(lam, U, pi):
+    """t -> worst-start TV(P^t, pi), from the eigendecomposition
+    U diag(lam) U^T of P's symmetrized form.
+
+    P^t = A diag(lam^t) B with A = D^-1/2 U and B = U^T D^1/2,
+    D = diag(pi).  Term k moves a row's TV by at most
+    |lam_k|^t / sqrt(pi_min), as sum_y |U_yk| sqrt(pi_y) <= 1 by
+    Cauchy-Schwarz; dropping the terms with |lam_k|^t under
+    1e-15 sqrt(pi_min) / S moves TV by less than 1e-15 in all, and near
+    t_mix leaves a few of the S terms in the one product.
+    """
+    d = np.sqrt(pi)
+    A, B = U / d[:, None], (U * d[:, None]).T
+    mag = np.abs(lam)
+    cut = 1e-15 * d.min() / len(d)
+
+    def tv(t):
+        keep = mag ** t > cut
+        return _worst_tv((A[:, keep] * lam[keep] ** t) @ B[keep], pi)
+    return tv
+
+
 def mixing_time(chain, horizon=DEFAULTS["mixing_horizon"]):
     """Smallest t with worst-start TV(P^t, pi) <= TV_TARGET = 1/(2e).
 
-    Worst-start TV is non-increasing in t.  Squaring P up to the first
-    mixed power P^t leaves P^(t/2) as the largest power known not to
-    mix; binary lifting then tries its remaining bits from the top, one
-    product each, keeping a candidate power only if it has not mixed.
-    Each power of two is popped once used, so at most one candidate and
-    the unused powers stay alive.
+    P is reversible, so one eigendecomposition of its symmetrized form
+    gives TV at any t to within 1e-15 (``_power_tv``).  Worst-start TV
+    is non-increasing in t, so t_mix is the t whose TV is at most the
+    target while that of t - 1 is above it, and ``_first_mixed`` finds
+    it in a few evaluations.  As t_mix >= t_rel - 1 (Levin-Peres-Wilmer,
+    Thm 12.5), the search starts at t_rel = 1/(1 - lam*), with
+    lam* = max(lam_2, |lam_min|), and extrapolates along ln lam*, the
+    rate at which TV decays in the end.
     """
     if chain.P is None:
         raise ValueError("transition matrix not built")
-    if _worst_tv(np.eye(len(chain.pi)), chain.pi) <= TV_TARGET:
+    v0 = _worst_tv(np.eye(len(chain.pi)), chain.pi)
+    if v0 <= TV_TARGET:
         return 0
-    pows = [chain.P]
-    t = 1
-    while _worst_tv(pows[-1], chain.pi) > TV_TARGET:
-        # pows[-1] is P^t; mixing time exceeds t, so give up once t does.
-        if t > horizon:
-            raise HorizonExceededError(f"no mixing within horizon {horizon}")
-        pows.append(pows[-1] @ pows[-1])
-        t *= 2
-    # P^t has mixed and P^lo, lo = t/2, has not (t = 1: P mixes at once)
-    pows.pop()
-    lo = t // 2
-    cur = pows.pop() if pows else None
-    step = lo
-    while pows:
-        step //= 2
-        cand = cur @ pows.pop()
-        if _worst_tv(cand, chain.pi) > TV_TARGET:
-            cur = cand
-            lo += step
-        del cand  # a rejected candidate goes before the next product
-    if lo + 1 > horizon:
+    lam, U = np.linalg.eigh(_symmetrized(chain))
+    # with lam* = 1 the chain never mixes, and the first guess is the cap
+    star = min(max(lam[-2], -lam[0]), 1.0)
+    rate = -math.log(max(star, 1e-300))
+    cap = max(horizon, 0) + 1
+    t = min(cap, math.ceil(1.0 / (1.0 - star))) if rate else cap
+    tmix = _first_mixed(_power_tv(lam, U, chain.pi), v0, t, rate, cap)
+    if tmix is None or tmix > horizon:
         raise HorizonExceededError(f"no mixing within horizon {horizon}")
-    return lo + 1
+    return tmix
+
+
+def _first_mixed(tv, v0, t, rate, cap):
+    """Smallest t in 1..cap with tv(t) <= TV_TARGET, or None if tv(cap)
+    is above it; ``tv`` is non-increasing with tv(0) = v0 above it.
+
+    From the guess ``t`` the search extrapolates up, ln tv falling by
+    ``rate`` a step (rate 0: straight to the cap), until some t has
+    mixed.  Secant steps on ln tv then shrink the bracket of the nearest
+    unmixed and mixed t, with a bisection whenever three steps have not
+    halved it, so a flat stretch of tv costs O(log cap) evaluations.
+    """
+    lo, v_lo = 0, v0
+    v = tv(t)
+    while v > TV_TARGET:
+        if t == cap:
+            return None
+        lo, v_lo = t, v
+        step = math.log(v / TV_TARGET) / rate if rate else cap
+        t = min(cap, t + max(1, math.ceil(step)))
+        v = tv(t)
+    hi, v_hi = t, v
+    widths = [hi - lo]
+    while hi - lo > 1:
+        if len(widths) > 3 and hi - lo > widths[-4] / 2:
+            t = (lo + hi) // 2
+        else:
+            a, b = math.log(v_lo), math.log(max(v_hi, 1e-300))
+            frac = (a - math.log(TV_TARGET)) / (a - b)
+            t = min(max(lo + math.ceil((hi - lo) * frac), lo + 1), hi - 1)
+        v = tv(t)
+        if v > TV_TARGET:
+            lo, v_lo = t, v
+        else:
+            hi, v_hi = t, v
+        widths.append(hi - lo)
+    return hi
 
 
 def sandwich_check(chain, instance="", horizon=DEFAULTS["mixing_horizon"],

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -502,6 +503,40 @@ class TestExact:
         assert len(rows) == 1
         assert rows[0]["states"] == "6"
         assert "reducible" in rows[0]["degenerate"]
+
+    def test_underflowing_mass_is_degenerate(self, tmp_path):
+        # pi(0, 0) = exp(-800) / Z rounds to 0: a valid model whose
+        # symmetrized kernel is undefined, reported like a reducible one
+        gp = tmp_path / "edge.edges"
+        gl.write_edge_list(gl.Graph(2, [(0, 1)]), gp)
+        mp = tmp_path / "steep.json"
+        mp.write_text(json.dumps({"kind": "soft", "q": 2, "h": [0.0, 400.0],
+                                  "g": [[0, 0], [0, 0]]}))
+        out = tmp_path / "ex.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["exact", "--model", str(mp), "--graph", str(gp),
+                         "--out", str(out)])
+        assert code == 1
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["min_pi"] == 0.0
+        assert "underflows to 0 at 1 states" in payload["degenerate"]
+
+    def test_out_of_memory_is_budget_exhaustion(self, triangle_files,
+                                                tmp_path, monkeypatch,
+                                                capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(gl_cli, "enumerate_states", exhausted)
+        gp, mp = triangle_files
+        out = tmp_path / "ex.json"
+        code = main(["exact", "--model", str(mp), "--graph", str(gp),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "exact: budget exhausted: out of memory\n")
+        assert not out.exists()
 
     def test_one_state_chain_passes(self, tmp_path):
         # one state mixes in 0 steps and relaxes in 0 steps

@@ -1,12 +1,15 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 import glauberlab as gl
+import glauberlab.exact as gl_exact
 from glauberlab.defaults import DEFAULTS
 from glauberlab.exact import (TV_TARGET, _cheeger_from_epsilon,
-                              _resample_kernel, _worst_tv)
+                              _first_mixed, _power_tv, _resample_kernel,
+                              _worst_tv)
 from glauberlab.models import neighbor_conditional
 from glauberlab.zoo import (_zoo_chains, connected_graphs, model_grid,
                             partitioned_cases, skeleton_block_cases)
@@ -270,16 +273,37 @@ class TestMixingTime:
         ch = built(gl.coloring_model(2), gl.Graph(1, []), lazy=False)
         assert gl.mixing_time(ch) == 1
 
-    def test_one_product_per_bit(self):
-        # 3-colourings of the 9-vertex path: 768 states and t_mix = 495,
-        # reached by 9 squarings and 8 lifts; binary search took 41
+    def test_one_eigh_and_few_tv_evaluations(self, monkeypatch):
+        # 3-colourings of the 9-vertex path: 768 states and t_mix = 495;
+        # the search evaluated TV 4 times, where squaring and lifting
+        # took 17 dense products
         ch = built(gl.coloring_model(3),
                    gl.Graph(9, [(v, v + 1) for v in range(8)]))
-        ch.P = ch.P.view(CountingMatrix)
-        CountingMatrix.products = 0
-        tmix = gl.mixing_time(ch)
-        assert tmix == 495
-        assert CountingMatrix.products <= 2 * math.ceil(math.log2(tmix))
+        calls = {"eigh": 0, "tv": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh",
+                            counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(gl_exact, "_worst_tv",
+                            counted("tv", gl_exact._worst_tv))
+        assert gl.mixing_time(ch) == 495
+        # one _worst_tv call is the identity check at t = 0
+        assert calls["eigh"] == 1
+        assert calls["tv"] - 1 <= 6
+
+    def test_underflowing_mass_is_degenerate(self):
+        # pi(0, 0) = exp(-800) / Z rounds to 0, so D^-1/2 is undefined
+        ch = built(gl.soft_model([0.0, 400.0], [[0.0, 0.0], [0.0, 0.0]]),
+                   edge())
+        assert ch.pi.min() == 0.0
+        for fn in (gl.spectrum, gl.relaxation_time, gl.mixing_time):
+            with pytest.raises(gl.DegenerateChainError, match="underflows"):
+                fn(ch)
 
 
 def linear_scan_mixing(chain):
@@ -292,13 +316,169 @@ def linear_scan_mixing(chain):
     return t
 
 
-class CountingMatrix(np.ndarray):
-    """A transition matrix view that counts its matrix products."""
-    products = 0
+def reference_mixing_time(chain, horizon=DEFAULTS["mixing_horizon"]):
+    """Oracle: squaring P up to the first mixed power P^t leaves P^(t/2)
+    as the largest power known not to mix; binary lifting then tries its
+    remaining bits from the top, keeping a candidate only if unmixed."""
+    if chain.P is None:
+        raise ValueError("transition matrix not built")
+    if _worst_tv(np.eye(len(chain.pi)), chain.pi) <= TV_TARGET:
+        return 0
+    pows = [chain.P]
+    t = 1
+    while _worst_tv(pows[-1], chain.pi) > TV_TARGET:
+        if t > horizon:
+            raise gl.HorizonExceededError(
+                f"no mixing within horizon {horizon}")
+        pows.append(pows[-1] @ pows[-1])
+        t *= 2
+    pows.pop()
+    lo = t // 2
+    cur = pows.pop() if pows else None
+    step = lo
+    while pows:
+        step //= 2
+        cand = cur @ pows.pop()
+        if _worst_tv(cand, chain.pi) > TV_TARGET:
+            cur = cand
+            lo += step
+    if lo + 1 > horizon:
+        raise gl.HorizonExceededError(f"no mixing within horizon {horizon}")
+    return lo + 1
 
-    def __matmul__(self, other):
-        CountingMatrix.products += 1
-        return super().__matmul__(other)
+
+def outcome(fn, *args, **kwargs):
+    """The integer a call returns, or the type of the exception it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc)
+
+
+def zoo_oracle_chains():
+    """Every zoo chain, lazy as the suites build it and non-lazy."""
+    for instance, ch in _zoo_chains(DEFAULTS["state_budget"]):
+        if isinstance(ch, str):
+            continue
+        yield instance, ch
+        yield f"{instance}/non-lazy", built(ch.model, ch.graph, lazy=False)
+
+
+def random_oracle_chains(seed=27, count=220, budget=512):
+    """Chains on random graphs of 2-7 vertices: q-colourings (2 <= q <= 4),
+    hardcore with beta ~ N(0, 2) and soft q in {2, 3}, lazy and non-lazy;
+    instances with more than ``budget`` partial states are passed over
+    to keep dense products cheap."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(2, 7)
+        g = gl.Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if rng.random() < 0.5])
+        kind = rng.choice(["coloring", "hardcore", "soft"])
+        if kind == "coloring":
+            model = gl.coloring_model(rng.randint(2, 4))
+        elif kind == "hardcore":
+            model = gl.hardcore_model(rng.gauss(0.0, 2.0))
+        else:
+            q = rng.choice([2, 3])
+            gg = [[0.0] * q for _ in range(q)]
+            for a in range(q):
+                for b in range(a, q):
+                    gg[a][b] = gg[b][a] = rng.gauss(0.0, 1.0)
+            model = gl.soft_model([rng.gauss(0.0, 1.0) for _ in range(q)],
+                                  gg)
+        for lazy in (True, False):
+            try:
+                ch = built(model, g, lazy=lazy, budget=budget)
+            except gl.BudgetExceededError:
+                break
+            yield f"random-{i}/{kind}/n{n}/lazy={lazy}", ch
+
+
+class TestMixingOracle:
+    """The spectral search against squaring and lifting."""
+
+    def assert_matches(self, cases, least):
+        checked = 0
+        for instance, ch in cases:
+            want = outcome(reference_mixing_time, ch)
+            assert outcome(gl.mixing_time, ch) == want, instance
+            if isinstance(want, int) and want > 0:
+                with pytest.raises(gl.HorizonExceededError):
+                    gl.mixing_time(ch, horizon=want - 1)
+                assert gl.mixing_time(ch, horizon=want) == want, instance
+            checked += 1
+        assert checked >= least
+
+    def test_zoo(self):
+        self.assert_matches(zoo_oracle_chains(), 322)
+
+    def test_random_chains(self):
+        self.assert_matches(random_oracle_chains(), 300)
+
+    def test_power_tv_matches_dense_powers(self):
+        # the dropped spectral terms move TV by less than 1e-15; rounding
+        # in U and in the dense products leaves more than that
+        cases = [*zoo_oracle_chains(), *random_oracle_chains()]
+        checked = 0
+        for instance, ch in cases:
+            want = outcome(reference_mixing_time, ch)
+            if not isinstance(want, int) or want == 0 or ch.pi.min() == 0:
+                continue
+            tv = _power_tv(*np.linalg.eigh(gl_exact._symmetrized(ch)), ch.pi)
+            for t in {1, 2, want - 1, want, 2 * want} - {0}:
+                mat = np.linalg.matrix_power(ch.P, t)
+                assert tv(t) == pytest.approx(_worst_tv(mat, ch.pi),
+                                              abs=1e-9), (instance, t)
+            checked += 1
+        assert checked >= 600
+
+    def test_pinned_times_clear_the_target(self):
+        # no pinned t_mix sits within rounding of the target: TV at t_mix
+        # and at t_mix - 1 stays 1e-6 away from 1/(2e)
+        path = built(gl.coloring_model(3),
+                     gl.Graph(9, [(v, v + 1) for v in range(8)]))
+        for instance, ch in [*zoo_oracle_chains(), ("path-9", path)]:
+            try:
+                tmix = gl.mixing_time(ch)
+            except gl.HorizonExceededError:
+                continue
+            for t in (tmix, tmix - 1):
+                if t >= 0:
+                    mat = np.linalg.matrix_power(ch.P, t)
+                    gap = abs(_worst_tv(mat, ch.pi) - TV_TARGET)
+                    assert gap >= 1e-6, (instance, t)
+
+
+class TestFirstMixed:
+    """The integer search on synthetic non-increasing TV curves."""
+
+    def test_matches_a_linear_scan(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            cap = rng.randint(1, 200)
+            vals = sorted((rng.choice([0.0, rng.uniform(0.0, 0.4)])
+                           for _ in range(cap + 1)), reverse=True)
+            vals[0] = max(vals[0], 2 * TV_TARGET)
+            want = next((t for t in range(1, cap + 1)
+                         if vals[t] <= TV_TARGET), None)
+            guess = rng.randint(1, cap)
+            rate = rng.choice([0.0, 1e-3, 0.1, 2.0])
+            assert _first_mixed(vals.__getitem__, vals[0], guess, rate,
+                                cap) == want
+
+    @pytest.mark.parametrize("k", [1, 2, 777, 123_457, 10 ** 6])
+    def test_flat_stretch_costs_log_evaluations(self, k):
+        # tv hugs the target and then drops to 0: from the bracket
+        # [0, cap] secant steps alone creep up one t at a time
+        calls = []
+
+        def tv(t):
+            calls.append(t)
+            return TV_TARGET * (1 + 1e-12) if t < k else 0.0
+
+        assert _first_mixed(tv, tv(0), 10 ** 6, 0.5, 10 ** 6) == k
+        assert len(calls) <= 4 * 20 + 2
 
 
 class TestSandwich:
