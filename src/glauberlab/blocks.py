@@ -122,7 +122,8 @@ def _units(g, labeling):
     good vertex stands alone.
     """
     good = labeling.good.tolist()
-    h = Graph(g.n, [(u, v) for u, v in g.edges if not (good[u] and good[v])])
+    h = Graph._from_sorted(g.n, [(u, v) for u, v in g.edges
+                                 if not (good[u] and good[v])])
     return induced_components(h, range(g.n))
 
 
@@ -469,9 +470,12 @@ def _block_diameter(g, vertices):
     # thousands of singleton blocks of a sparse graph
     if len(vertices) == 1:
         return 0
+    # in increasing order, the relabelled edges come out sorted
+    vertices = sorted(set(vertices))
     pos = {v: i for i, v in enumerate(vertices)}
-    sub = Graph(len(pos), [(pos[u], pos[v]) for u in vertices
-                           for v in g.adj[u] if u < v and v in pos])
+    sub = Graph._from_sorted(len(pos), [(pos[u], pos[v]) for u in vertices
+                                        for v in g.adj[u]
+                                        if u < v and v in pos])
     diam = 0
     for _, code, far in _distance_chunks(sub):
         top = int(code.max())

@@ -124,7 +124,8 @@ def cmd_check(args, cfg):
     }
     return _emit(args, "check", payload,
                  meta_extra={"phi_swept": rep.phi_swept,
-                             "path_nodes": rep.path_nodes},
+                             "path_nodes": rep.path_nodes,
+                             **rep.clause_one},
                  code=EXIT_PASS if rep.passed else EXIT_FAIL)
 
 

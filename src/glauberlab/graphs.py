@@ -49,6 +49,24 @@ class Graph:
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self._csr = None
 
+    @classmethod
+    def _from_sorted(cls, n, edges):
+        """The graph on 0..n-1 with ``edges``, which must already be those
+        of a simple graph as Graph stores them: (u, v) pairs with u < v,
+        distinct and sorted.  Skips __init__'s checks and sorts: in sorted
+        order each vertex meets its smaller neighbours before its larger
+        ones, both ascending, so every adjacency list fills in order."""
+        g = cls.__new__(cls)
+        adj = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        g.n = n
+        g.edges = tuple(edges)
+        g.adj = tuple(map(tuple, adj))
+        g._csr = None
+        return g
+
     @property
     def m(self):
         return len(self.edges)
@@ -119,6 +137,34 @@ def induced_components(g, vertices):
         seen.update(comp)
         comps.append(comp)
     return comps
+
+
+def _component_sizes(g):
+    """The size of each vertex's component.
+
+    Every vertex carries a label in its component, first itself.  A round
+    lowers each label to the least of its neighbours', hooks each old
+    label's vertex under the lowest label that reached its members, and
+    jumps pointers (label of the label) to a fixed point; at the round that
+    changes nothing, each component carries its least vertex throughout.
+    """
+    indptr, indices = g.csr_adjacency()
+    has = np.flatnonzero(np.diff(indptr))
+    label = np.arange(g.n)
+    while True:
+        low = label.copy()
+        if len(has):
+            low[has] = np.minimum(low[has], np.minimum.reduceat(
+                label[indices], indptr[has]))
+        np.minimum.at(low, label, low)
+        while True:
+            jump = low[low]
+            if np.array_equal(jump, low):
+                break
+            low = jump
+        if np.array_equal(low, label):
+            return np.bincount(label, minlength=g.n)[label]
+        label = low
 
 
 def induced_excess(g, vertices):
@@ -383,9 +429,7 @@ def _walk_bounds(g, alpha):
     plus tail = alpha^(k+1) * remaining bounds phi.  Past v's eccentricity
     nothing remains and head is the whole bound.
     """
-    remaining = np.zeros(g.n, dtype=np.int64)
-    for comp in induced_components(g, range(g.n)):
-        remaining[list(comp)] = len(comp) - 1
+    remaining = _component_sizes(g) - 1
     head = np.zeros(g.n)
     power = 1.0
     for walks in _walk_counts(g):
@@ -445,20 +489,150 @@ def _path_bounds(g, upper, l):
     return bound
 
 
-def tree_excess_all(g, l, alpha=None):
-    """Tree excess of B(v,l) for every v, from a sweep whose BFS stops at
-    depth l (vectorized over source chunks).
+# A sparse block's ball keys: at most about this many per graph vertex, so
+# that its few int64 arrays of keys stay below an MS-BFS chunk's (n, 256)
+# array of depth codes.
+_BALL_BLOCK = 2
+
+# A ball key (sorted, looked up and merged once per level) costs about as
+# much as this many (vertex, source) cells of the MS-BFS's bit arrays and
+# depth codes.
+_KEY_COST = 100
+
+
+def _ball_keys(g, l):
+    """Per-vertex bounds on the vertices of B(v, l), and whether each
+    256-source chunk (in vertex order) goes to the sparse engine: its
+    bounds, at _KEY_COST each, cost less than its n cells per source.
+
+    The sphere S_k(v) has at most min(W_k(v), n) vertices
+    (``_walk_counts``), so B(v, l) has at most 1 + the sum over k <= l of
+    those, and at most v's component.  The levels stop early once every
+    chunk either costs too much or has all its bounds at their component
+    sizes.
+    """
+    sizes = _component_sizes(g)
+    keys = np.ones(g.n, dtype=np.int64)
+    starts = np.arange(0, g.n, _DIST_CHUNK)
+    cells = g.n * np.diff(np.append(starts, g.n))
+    for _, walks in zip(range(l), _walk_counts(g)):
+        keys = np.minimum(keys + walks, sizes)
+        if np.all((_KEY_COST * np.add.reduceat(keys, starts) >= cells)
+                  | np.logical_and.reduceat(keys == sizes, starts)):
+            break
+    return keys, _KEY_COST * np.add.reduceat(keys, starts) < cells
+
+
+def _ball_excess_sparse(g, sources, l):
+    """(tree excess of B(s, l), whether the BFS from s ran out before depth
+    l, keys of the balls) for the distinct vertices ``sources``.
+
+    A ball is a sorted run of int64 keys (i << shift) + v, i the source's
+    position and v a ball vertex.  Each level gathers the CSR neighbours
+    of the frontier keys, sorts them, drops repeats and keys already in a
+    ball (searchsorted), and merges the rest in; they are the next
+    frontier.  The arcs gathered from depths below l all end in the ball;
+    those leaving depth l are looked up.  Arcs count every inner edge
+    twice.
+    """
+    indptr, indices = g.csr_adjacency()
+    shift = max(g.n - 1, 1).bit_length()
+    mask = (1 << shift) - 1
+    k = len(sources)
+    ball = (np.arange(k, dtype=np.int64) << shift) + sources
+    front = ball
+    arcs = np.zeros(k, dtype=np.int64)
+
+    def neighbours(keys):
+        v = keys & mask
+        lens = indptr[v + 1] - indptr[v]
+        at = np.repeat(indptr[v] - (np.cumsum(lens) - lens), lens)
+        at += np.arange(len(at))
+        return indices[at] + np.repeat(keys - v, lens)
+
+    for _ in range(l):
+        near = neighbours(front)
+        arcs += np.bincount(near >> shift, minlength=k)
+        near.sort()
+        hit = np.searchsorted(ball, near)
+        new = ball.take(hit, mode="clip") != near
+        new[1:] &= near[1:] != near[:-1]
+        front = near[new]
+        if not len(front):
+            break
+        ball = np.insert(ball, hit[new], front)
+    ran_out = np.ones(k, dtype=bool)
+    if len(front):
+        ran_out[front >> shift] = False
+        near = neighbours(front)
+        near = near[ball.take(np.searchsorted(ball, near), mode="clip")
+                    == near]
+        arcs += np.bincount(near >> shift, minlength=k)
+    return (arcs // 2 - np.bincount(ball >> shift, minlength=k) + 1,
+            ran_out, len(ball))
+
+
+def tree_excess_all(g, l, alpha=None, counters=None):
+    """Tree excess of B(v,l) for every v.
+
+    Two engines give the same integers.  The sparse one builds each ball
+    as sorted (source, vertex) keys (``_ball_excess_sparse``); the MS-BFS
+    sweeps 256 sources at once over bit arrays of all n vertices
+    (``_sweep`` with its BFS stopped at depth l).  Each 256-source chunk,
+    in vertex order, goes sparse when the walk-count bounds on its balls'
+    vertices (``_ball_keys``) sum to less than its n cells per source over
+    ``_KEY_COST``: small balls in a large graph, the paper's regime.  Large
+    balls, such as a radius that spans a long path, go to the MS-BFS.
+    Sparse sources go in blocks of about ``_BALL_BLOCK`` * n keys.  A dict
+    ``counters`` receives the work done: ``ball_sources`` (sources of the
+    sparse engine), ``bfs_chunks`` (MS-BFS chunks run) and
+    ``ball_keys_peak`` (most keys one sparse block held).
 
     With ``alpha``, returns (excess, phi): phi_alpha, bit-identical to
-    alpha_weights_all's, of each vertex whose chunk's BFS ran out before
-    depth l, read off the same codes, and NaN at the others.
+    alpha_weights_all's, of each vertex of a chunk whose BFS ran out
+    before depth l (every source's ball is its whole component), and NaN
+    at the others.  The MS-BFS reads phi off that chunk's codes; a sparse
+    chunk that ran out is swept for it in full, as alpha_weights_all
+    would.
     """
-    if alpha is None:
-        return _sweep(g, radius=l)[1]
-    if not 0.0 < alpha < 1.0:
+    if l < 0:
+        raise ValueError("radius must be nonnegative")
+    if alpha is not None and not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
-    phi, excess = _sweep(g, alpha=alpha, radius=l)
-    return excess, phi
+    n = g.n
+    excess = np.zeros(n, dtype=np.int64)
+    phi = np.full(n, np.nan)
+    counters = {} if counters is None else counters
+    counters.update(ball_sources=0, bfs_chunks=0, ball_keys_peak=0)
+    starts = np.arange(0, n, _DIST_CHUNK)
+    lens = np.diff(np.append(starts, n))
+    keys, sparse = _ball_keys(g, l)
+    sparse_at = np.repeat(sparse, lens)
+
+    dense = np.flatnonzero(~sparse_at)
+    if len(dense):
+        phi[dense], excess[dense] = _sweep(g, alpha=alpha, radius=l,
+                                           sources=dense)
+        counters["bfs_chunks"] += -(-len(dense) // _DIST_CHUNK)
+
+    balls = np.flatnonzero(sparse_at)
+    if len(balls):
+        ran_out = np.zeros(n, dtype=bool)
+        cost = keys[balls]
+        block = (np.cumsum(cost) - cost) // (_BALL_BLOCK * n)
+        for part in np.split(balls, np.flatnonzero(np.diff(block)) + 1):
+            excess[part], ran_out[part], held = _ball_excess_sparse(
+                g, part, l)
+            counters["ball_keys_peak"] = max(counters["ball_keys_peak"],
+                                             held)
+        counters["ball_sources"] = len(balls)
+        # phi keeps the MS-BFS's meaning: read where a whole chunk ran out
+        done = sparse & np.logical_and.reduceat(ran_out, starts)
+        if alpha is not None and done.any():
+            read = np.flatnonzero(np.repeat(done, lens))
+            phi[read] = _sweep(g, alpha=alpha, sources=read)[0]
+            counters["bfs_chunks"] += int(done.sum())
+    return excess if alpha is None else (excess, phi)
 
 
 @dataclass(frozen=True)
@@ -650,6 +824,7 @@ class HypothesisReport:
     m_alpha: float
     phi_swept: int
     path_nodes: int
+    clause_one: dict
     graph: Graph = field(repr=False)
     known_phi: np.ndarray = field(repr=False)
 
@@ -665,9 +840,9 @@ class HypothesisReport:
     def phi(self):
         """phi_alpha of every vertex, bit-identical to alpha_weights_all's.
 
-        The check knows it only where its capped sweep ran to the end;
-        the first read sweeps the other vertices, and later reads reuse
-        the array.
+        The check knows it only in the chunks whose clause-1 BFS ran out
+        before the radius; the first read sweeps the other vertices, and
+        later reads reuse the array.
         """
         open_ = np.flatnonzero(np.isnan(self.known_phi))
         if len(open_):
@@ -684,17 +859,22 @@ def check_hypothesis(g, params, node_budget=DEFAULTS["node_budget"],
     Clause 2: max path alpha-weight over paths of at most ceil(a*log n)
     edges strictly below delta*log n.  Logs use ``log_base``.
 
-    Clause 1 comes from a sweep whose BFS stops at the radius; a chunk of
-    sources whose BFS runs out first gives their exact phi as well.
-    Clause 2 sweeps only the vertices that max_path_alpha_weight's bounds
-    leave as candidates for the heaviest path.  The records equal those
-    of the full sweep.  The report's phi_swept counts the vertices whose
-    exact phi was computed, and path_nodes the path search's DFS nodes.
+    Clause 1 comes from tree_excess_all, which builds each ball by the
+    sparse engine or by the MS-BFS stopped at the radius, whichever its
+    cost rule finds cheaper per 256-source chunk; a chunk of sources whose
+    BFS runs out first gives their exact phi as well.  Clause 2 sweeps
+    only the vertices that max_path_alpha_weight's bounds leave as
+    candidates for the heaviest path.  The records equal those of the
+    full sweep.  The report's phi_swept counts the vertices whose exact
+    phi was computed, path_nodes the path search's DFS nodes, and
+    clause_one tree_excess_all's counters of the clause-1 work.
     """
     radius = log_radius(params.a, g.n, base=log_base)
     report = Report()
 
-    excess, phi = tree_excess_all(g, radius, alpha=params.alpha)
+    clause_one = {}
+    excess, phi = tree_excess_all(g, radius, alpha=params.alpha,
+                                  counters=clause_one)
     bad = [int(v) for v in np.nonzero(excess > params.t)[0]]
     witness = [{"vertex": v, "excess": int(excess[v])}
                for v in bad[:20]]
@@ -722,7 +902,8 @@ def check_hypothesis(g, params, node_budget=DEFAULTS["node_budget"],
     swept = int(np.count_nonzero(~np.isnan(phi))) + mpw.swept
     return HypothesisReport(params=params, radius=radius, report=report,
                             m_alpha=mpw.value, phi_swept=swept,
-                            path_nodes=mpw.nodes, graph=g, known_phi=phi)
+                            path_nodes=mpw.nodes, clause_one=clause_one,
+                            graph=g, known_phi=phi)
 
 
 def generate_er(n, d, seed):

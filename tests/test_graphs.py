@@ -1,8 +1,11 @@
+import contextlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -49,6 +52,21 @@ class TestGraphBasics:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             gl.Graph(2, [(0, 2)])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_from_sorted_equals_checked_graph(self, seed):
+        # any subset of a graph's edges is sorted, distinct and in range
+        rng = np.random.default_rng(seed)
+        g = gl.generate_er(60 + 40 * seed, 1.0 + seed, seed)
+        for keep in (0.0, 0.3, 0.7, 1.0):
+            edges = [e for e in g.edges if rng.random() < keep]
+            fast = gl.Graph._from_sorted(g.n, edges)
+            slow = gl.Graph(g.n, edges)
+            assert fast == slow
+            assert fast.edges == slow.edges and fast.adj == slow.adj
+            for got, want in zip(fast.csr_adjacency(),
+                                 slow.csr_adjacency()):
+                assert np.array_equal(got, want)
 
 
 class TestDistances:
@@ -308,6 +326,111 @@ def small_cases():
     yield gl.Graph(7, [(i, (i + 1) % 5) for i in range(5)] + [(4, 5)])
     for seed in range(8):
         yield gl.generate_er(9, 2.0 + seed / 2, seed)
+
+
+class TestComponentSizes:
+    @pytest.mark.parametrize("g", list(engine_cases()) + [
+        pytest.param(g, id=repr(g)) for g in small_cases()])
+    def test_match_induced_components(self, g):
+        want = np.zeros(g.n, dtype=np.int64)
+        for comp in graphs.induced_components(g, range(g.n)):
+            want[list(comp)] = len(comp)
+        assert np.array_equal(graphs._component_sizes(g), want)
+
+    def test_shuffled_long_path(self):
+        # labels far from the path order take several hooking rounds
+        order = np.random.default_rng(5).permutation(3000).tolist()
+        g = gl.Graph(3001, list(zip(order, order[1:])))
+        sizes = graphs._component_sizes(g)
+        assert sizes[order].tolist() == [3000] * 3000
+        assert sizes[3000] == 1
+
+
+@contextlib.contextmanager
+def forced(engine):
+    """Every chunk to one clause-1 engine: free ball keys send them all to
+    the sparse engine, infinitely dear ones to the MS-BFS."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_KEY_COST",
+                   0.0 if engine == "sparse" else math.inf)
+        yield
+
+
+def clause_one(g, l):
+    """tree_excess_all's work counters on g at radius l."""
+    counters = {}
+    gl.tree_excess_all(g, l, counters=counters)
+    return counters
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Graphs of 0-40 vertices with at most 2n edges: isolated vertices,
+    small trees and short cycles beside larger components."""
+    n = draw(st.integers(0, 40))
+    if n < 2:
+        return gl.Graph(n, [])
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = {(min(u, v), max(u, v))
+             for u, v in draw(st.lists(pairs, max_size=2 * n)) if u != v}
+    return gl.Graph(n, sorted(edges))
+
+
+class TestBallEngines:
+    # Both clause-1 engines, each forced everywhere, against the ball of
+    # each vertex built alone, and against each other where they read phi.
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=sparse_graphs(), l=st.integers(0, 6))
+    def test_forced_engines_match_per_vertex_balls(self, g, l):
+        want = [gl.tree_excess(g, v, l) for v in range(g.n)]
+        phis = []
+        for engine in ("sparse", "bfs"):
+            counters = {}
+            with forced(engine):
+                assert gl.tree_excess_all(g, l).tolist() == want
+                excess, phi = gl.tree_excess_all(g, l, alpha=0.3,
+                                                 counters=counters)
+            assert excess.tolist() == want
+            assert counters["ball_sources"] == (g.n if engine == "sparse"
+                                                else 0)
+            phis.append(phi)
+        assert np.array_equal(phis[0], phis[1], equal_nan=True)
+
+    @pytest.mark.parametrize("g", engine_cases())
+    def test_forced_sparse_matches_reference(self, g):
+        ref = reference_rows(g)
+        with forced("sparse"):
+            for l in range(7):
+                assert np.array_equal(gl.tree_excess_all(g, l),
+                                      reference_excess(g, ref, l)), l
+
+    @pytest.mark.parametrize("g,l,sparse", [
+        (gl.generate_er(3500, 2.0, 1), gl.log_radius(0.2, 3500), 3500),
+        (gl.generate_er(2000, 4.0, 1), 4, 0),
+        (gl.Graph(3000, [(i, i + 1) for i in range(2999)]),
+         gl.log_radius(400, 3000), 0),
+    ], ids=["paper-constants", "er-2000-4-r4", "path-3000-a400"])
+    def test_cost_rule_picks_the_engine(self, g, l, sparse, monkeypatch):
+        # the choice alone: the MS-BFS is stubbed out (the path would
+        # spend seconds sweeping its 3000 levels)
+        monkeypatch.setattr(graphs, "_sweep", lambda g, alpha, radius,
+                            sources: (sources * np.nan, sources * 0))
+        counters = clause_one(g, l)
+        assert counters["ball_sources"] == sparse
+        assert counters["bfs_chunks"] == (g.n - sparse + 255) // 256
+        assert (counters["ball_keys_peak"] > 0) == (sparse > 0)
+
+    def test_sparse_blocks_stay_below_a_code_array(self):
+        # a block's keys stay within twice its share of _BALL_BLOCK * n
+        g = gl.generate_er(5000, 2.0, 1)
+        counters = clause_one(g, 3)
+        assert counters["ball_sources"] == g.n
+        assert counters["ball_keys_peak"] <= 2 * graphs._BALL_BLOCK * g.n
+
+    def test_radius_validated(self):
+        with pytest.raises(ValueError):
+            gl.tree_excess_all(path3(), -1)
 
 
 class TestWalkBounds:
