@@ -28,7 +28,6 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         seen = set()
-        adj = [[] for _ in range(n)]
         norm = []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -41,31 +40,30 @@ class Graph:
                 raise ValueError(f"parallel edge ({u},{v})")
             seen.add((u, v))
             norm.append((u, v))
-            adj[u].append(v)
-            adj[v].append(u)
         norm.sort()
-        self.n = n
-        self.edges = tuple(norm)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
-        self._csr = None
+        self._fill(n, norm)
 
     @classmethod
     def _from_sorted(cls, n, edges):
         """The graph on 0..n-1 with ``edges``, which must already be those
         of a simple graph as Graph stores them: (u, v) pairs with u < v,
-        distinct and sorted.  Skips __init__'s checks and sorts: in sorted
-        order each vertex meets its smaller neighbours before its larger
-        ones, both ascending, so every adjacency list fills in order."""
+        distinct and sorted.  Skips __init__'s checks and sort."""
         g = cls.__new__(cls)
+        g._fill(n, edges)
+        return g
+
+    def _fill(self, n, edges):
+        # in sorted order each vertex meets its smaller neighbours before
+        # its larger ones, both ascending, so every adjacency list fills
+        # in order
         adj = [[] for _ in range(n)]
         for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        g.n = n
-        g.edges = tuple(edges)
-        g.adj = tuple(map(tuple, adj))
-        g._csr = None
-        return g
+        self.n = n
+        self.edges = tuple(edges)
+        self.adj = tuple(map(tuple, adj))
+        self._csr = None
 
     @property
     def m(self):
@@ -524,8 +522,8 @@ def _ball_keys(g, l):
 
 
 def _ball_excess_sparse(g, sources, l):
-    """(tree excess of B(s, l), whether the BFS from s ran out before depth
-    l, keys of the balls) for the distinct vertices ``sources``.
+    """(tree excess of B(s, l), keys of the balls) for the distinct
+    vertices ``sources``.
 
     A ball is a sorted run of int64 keys (i << shift) + v, i the source's
     position and v a ball vertex.  Each level gathers the CSR neighbours
@@ -561,15 +559,12 @@ def _ball_excess_sparse(g, sources, l):
         if not len(front):
             break
         ball = np.insert(ball, hit[new], front)
-    ran_out = np.ones(k, dtype=bool)
     if len(front):
-        ran_out[front >> shift] = False
         near = neighbours(front)
         near = near[ball.take(np.searchsorted(ball, near), mode="clip")
                     == near]
         arcs += np.bincount(near >> shift, minlength=k)
-    return (arcs // 2 - np.bincount(ball >> shift, minlength=k) + 1,
-            ran_out, len(ball))
+    return arcs // 2 - np.bincount(ball >> shift, minlength=k) + 1, len(ball)
 
 
 def tree_excess_all(g, l, alpha=None, counters=None):
@@ -589,11 +584,11 @@ def tree_excess_all(g, l, alpha=None, counters=None):
     ``ball_keys_peak`` (most keys one sparse block held).
 
     With ``alpha``, returns (excess, phi): phi_alpha, bit-identical to
-    alpha_weights_all's, of each vertex of a chunk whose BFS ran out
-    before depth l (every source's ball is its whole component), and NaN
-    at the others.  The MS-BFS reads phi off that chunk's codes; a sparse
-    chunk that ran out is swept for it in full, as alpha_weights_all
-    would.
+    alpha_weights_all's, of each vertex of an MS-BFS chunk whose BFS ran
+    out before depth l (every source's ball is its whole component), read
+    off that chunk's codes, and NaN at the others.  The sparse engine
+    gives no phi: its sources stay NaN even where their balls are whole
+    components, and nothing here sweeps at full depth.
     """
     if l < 0:
         raise ValueError("radius must be nonnegative")
@@ -617,21 +612,13 @@ def tree_excess_all(g, l, alpha=None, counters=None):
 
     balls = np.flatnonzero(sparse_at)
     if len(balls):
-        ran_out = np.zeros(n, dtype=bool)
         cost = keys[balls]
         block = (np.cumsum(cost) - cost) // (_BALL_BLOCK * n)
         for part in np.split(balls, np.flatnonzero(np.diff(block)) + 1):
-            excess[part], ran_out[part], held = _ball_excess_sparse(
-                g, part, l)
+            excess[part], held = _ball_excess_sparse(g, part, l)
             counters["ball_keys_peak"] = max(counters["ball_keys_peak"],
                                              held)
         counters["ball_sources"] = len(balls)
-        # phi keeps the MS-BFS's meaning: read where a whole chunk ran out
-        done = sparse & np.logical_and.reduceat(ran_out, starts)
-        if alpha is not None and done.any():
-            read = np.flatnonzero(np.repeat(done, lens))
-            phi[read] = _sweep(g, alpha=alpha, sources=read)[0]
-            counters["bfs_chunks"] += int(done.sum())
     return excess if alpha is None else (excess, phi)
 
 
@@ -840,9 +827,9 @@ class HypothesisReport:
     def phi(self):
         """phi_alpha of every vertex, bit-identical to alpha_weights_all's.
 
-        The check knows it only in the chunks whose clause-1 BFS ran out
-        before the radius; the first read sweeps the other vertices, and
-        later reads reuse the array.
+        The check knows it only in the MS-BFS chunks whose clause-1 BFS
+        ran out before the radius, never at a sparse source; the first
+        read sweeps the other vertices, and later reads reuse the array.
         """
         open_ = np.flatnonzero(np.isnan(self.known_phi))
         if len(open_):
@@ -861,13 +848,14 @@ def check_hypothesis(g, params, node_budget=DEFAULTS["node_budget"],
 
     Clause 1 comes from tree_excess_all, which builds each ball by the
     sparse engine or by the MS-BFS stopped at the radius, whichever its
-    cost rule finds cheaper per 256-source chunk; a chunk of sources whose
-    BFS runs out first gives their exact phi as well.  Clause 2 sweeps
-    only the vertices that max_path_alpha_weight's bounds leave as
-    candidates for the heaviest path.  The records equal those of the
-    full sweep.  The report's phi_swept counts the vertices whose exact
-    phi was computed, path_nodes the path search's DFS nodes, and
-    clause_one tree_excess_all's counters of the clause-1 work.
+    cost rule finds cheaper per 256-source chunk; an MS-BFS chunk whose
+    BFS runs out first gives its sources' exact phi as well, and the
+    sparse engine gives none.  Clause 2 sweeps only the vertices that
+    max_path_alpha_weight's bounds leave as candidates for the heaviest
+    path, whatever part of phi clause 1 handed over.  The records equal
+    those of the full sweep.  The report's phi_swept counts the vertices
+    whose exact phi was computed, path_nodes the path search's DFS nodes,
+    and clause_one tree_excess_all's counters of the clause-1 work.
     """
     radius = log_radius(params.a, g.n, base=log_base)
     report = Report()

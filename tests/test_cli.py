@@ -148,6 +148,24 @@ class TestCheck:
         assert len(full) == 1 and full[0] == meta["phi_swept"] <= 256
         assert meta["path_nodes"] <= 1000
 
+    def test_small_components_sweep_only_candidates(self, tmp_path,
+                                                    monkeypatch):
+        # every radius-9 ball is its whole component, yet clause 1 builds
+        # them sparsely and hands over no phi: the only full-depth sweeps
+        # are the path search's candidates
+        gp = tmp_path / "g.edges"
+        assert main(["gen", "--n", "5000", "--d", "0.5", "--seed", "1",
+                     "--out", str(gp)]) == 0
+        chunks = count_chunks(monkeypatch)
+        out = tmp_path / "check.json"
+        assert main(["check", str(gp), "--a", "1", "--alpha", "0.25",
+                     "--t", "1", "--delta", "2.07", "--out",
+                     str(out)]) in (0, 1)
+        assert payload_digest(out) == "172fd680db6c445e"
+        assert chunks == [(None, 64), (None, 256), (None, 10)]
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["bfs_chunks"] == 0 and meta["phi_swept"] == 330
+
     def test_short_path_sweeps_everything_once(self, tmp_path, monkeypatch):
         # the capped sweep runs out before the radius, so it gives every
         # phi and no full-depth sweep follows

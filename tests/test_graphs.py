@@ -239,7 +239,7 @@ class TestSweepEngine:
 class TestCappedSweep:
     # A BFS stopped at depth cap gives the full codes up to the cap and
     # far beyond it; a chunk whose BFS ran out first keeps its full codes,
-    # and only those chunks give phi.
+    # and only those MS-BFS chunks give phi.
 
     @pytest.mark.parametrize("g", engine_cases())
     def test_codes_match_full_depth(self, g):
@@ -266,14 +266,23 @@ class TestCappedSweep:
             excess, got = gl.tree_excess_all(g, l, alpha=0.3)
             assert np.array_equal(excess, reference_excess(g, ref, l)), l
             assert np.array_equal(excess, gl.tree_excess_all(g, l))
+            with forced("sparse"):
+                none = gl.tree_excess_all(g, l, alpha=0.3)[1]
+            assert np.isnan(none).all(), l
+            with forced("bfs"):
+                bfs = gl.tree_excess_all(g, l, alpha=0.3)[1]
+            # the cost rule's sparse chunks give none of the MS-BFS's phi
+            sparse = np.repeat(graphs._ball_keys(g, l)[1], graphs._DIST_CHUNK)
+            assert np.array_equal(got, np.where(sparse[:g.n], np.nan, bfs),
+                                  equal_nan=True), l
             # a chunk ran out iff every finite distance from it is below l
             for start in range(0, g.n, graphs._DIST_CHUNK):
                 rows = ref[start:start + graphs._DIST_CHUNK]
                 at = slice(start, start + len(rows))
                 if rows[np.isfinite(rows)].max() < l:
-                    assert np.array_equal(got[at], phi[at]), l
+                    assert np.array_equal(bfs[at], phi[at]), l
                 else:
-                    assert np.isnan(got[at]).all(), l
+                    assert np.isnan(bfs[at]).all(), l
 
     def test_tree_excess_alpha_validated(self):
         with pytest.raises(ValueError):
@@ -378,7 +387,7 @@ def sparse_graphs(draw):
 
 class TestBallEngines:
     # Both clause-1 engines, each forced everywhere, against the ball of
-    # each vertex built alone, and against each other where they read phi.
+    # each vertex built alone; only the MS-BFS reads phi.
 
     @settings(max_examples=150, deadline=None)
     @given(g=sparse_graphs(), l=st.integers(0, 6))
@@ -395,7 +404,12 @@ class TestBallEngines:
             assert counters["ball_sources"] == (g.n if engine == "sparse"
                                                 else 0)
             phis.append(phi)
-        assert np.array_equal(phis[0], phis[1], equal_nan=True)
+        assert np.isnan(phis[0]).all()
+        # one chunk: its BFS ran out iff every finite distance is below l
+        if all(max(gl.bfs_distances(g, v).values()) < l for v in range(g.n)):
+            assert np.array_equal(phis[1], gl.alpha_weights_all(g, 0.3))
+        else:
+            assert np.isnan(phis[1]).all()
 
     @pytest.mark.parametrize("g", engine_cases())
     def test_forced_sparse_matches_reference(self, g):
@@ -593,11 +607,14 @@ class TestPathSearch:
         pytest.param(disjoint_union(cycle(4), path3(), gl.Graph(2, [])),
                      id="disconnected")])
     def test_matches_plain_enumeration(self, g):
+        rng = np.random.default_rng(g.n + g.m)
         for alpha in ORACLE_ALPHAS:
             phi = gl.alpha_weights_all(g, alpha)
+            # phi known at a random half, as clause 1 may hand it over
+            half = np.where(rng.random(g.n) < 0.5, np.nan, phi)
             for l in range(5):
                 want = reference_heaviest_path(g, phi, l)
-                for given in (None, phi):
+                for given in (None, phi, half):
                     got = gl.max_path_alpha_weight(g, alpha, l, phi=given)
                     assert (got.value, got.path) == want, (alpha, l)
 

@@ -8,9 +8,11 @@ function is no caller (before Python 3.12 an f-string is one STRING
 token, so neither is a name used only inside one).  ``perfbench/`` and
 the gate are read as text, since perfbench names the functions it wraps
 in strings. A public name that only its own unit tests use fails here:
-delete it, or give it a caller.  A private top-level function or class
-must be used by the package itself, in its own module outside its
-definition or in another module: a helper that only tests use fails.
+delete it, or give it a caller.  A private top-level function, class or
+constant (a module-level assignment to a private name) must be used by
+the package itself, in its own module outside its definition or in
+another module: a helper that only tests use, or a constant left behind
+by a deletion, fails.
 Likewise every flag a CLI command accepts is read by the code that
 command runs.
 """
@@ -64,18 +66,30 @@ def module_names():
     return {stem: code_names(text) for stem, text in module_texts().items()}
 
 
+def defined_names(node, private):
+    """The names a top-level statement defines: a function's or class's,
+    and for private ones also those a plain assignment binds (dunders such
+    as __version__ are not private)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name] if node.name.startswith("_") == private else []
+    if not private or not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)
+            and t.id.startswith("_") and not t.id.startswith("__")]
+
+
 def definitions(private=False):
-    """(module, name, module text outside the definition) per public name,
-    or per private one."""
+    """(module, name, module text outside the definition) per public
+    function and class, or per private function, class and constant."""
     for stem, text in module_texts().items():
         lines = text.splitlines(keepends=True)
         for node in ast.parse(text).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") == private):
-                first = min([node.lineno] +
-                            [d.lineno for d in node.decorator_list])
+            for name in defined_names(node, private):
+                first = min([node.lineno] + [
+                    d.lineno for d in getattr(node, "decorator_list", [])])
                 outside = lines[:first - 1] + lines[node.end_lineno:]
-                yield stem, node.name, "".join(outside)
+                yield stem, name, "".join(outside)
 
 
 def test_allowlist_names_exist():
