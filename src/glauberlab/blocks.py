@@ -455,8 +455,7 @@ def build_blocks(g, labeling, skeleton, L, t=None,
         blocks.append(Block(kind="skeleton", vertices=tuple(sorted(members)),
                             skeleton=comp, pieces=pieces))
     for unit in standalone:
-        kind = "singleton" if len(unit) == 1 else "tree"
-        blocks.append(Block(kind=kind, vertices=unit))
+        blocks.append(Block("singleton" if len(unit) == 1 else "tree", unit))
     blocks.sort(key=lambda b: b.vertices[0])
     return BlockPartition(blocks=tuple(blocks), L=L, log_base=log_base, t=t,
                           labeling=labeling)
@@ -487,7 +486,13 @@ def _block_diameter(g, vertices):
 
 def validate_partition(g, partition):
     """Re-check all six structural guarantees; failures become records
-    with witnesses, never exceptions."""
+    with witnesses, never exceptions.
+
+    Cover, cross-edges and boundary-good come from one vertex -> block
+    owner map, with the set of blocks of each vertex that lies in several.
+    A vertex is interior to block i when a neighbour lies outside i, so
+    only bad vertices are tested, each in every block that holds it.
+    """
     labeling = partition.labeling
     L = partition.L
     logn = _log_n(g.n, partition.log_base)
@@ -495,11 +500,13 @@ def validate_partition(g, partition):
     blocks = partition.blocks
 
     owner = {}
+    shared = {}
     duplicated = []
     for i, b in enumerate(blocks):
         for v in b.vertices:
             if v in owner:
                 duplicated.append(v)
+                shared.setdefault(v, {owner[v]}).add(i)
             owner[v] = i
     missing = [v for v in range(g.n) if v not in owner]
     report.add(CheckRecord(
@@ -511,26 +518,32 @@ def validate_partition(g, partition):
         bu, bv = owner.get(u), owner.get(v)
         if bu is None or bv is None or bu == bv:
             continue
-        key = (min(bu, bv), max(bu, bv))
+        key = (bu, bv) if bu < bv else (bv, bu)
         pair_edges.setdefault(key, []).append((u, v))
     offenders = {k: v for k, v in pair_edges.items() if len(v) > 1}
     report.add(CheckRecord(
         check="cross-edges", passed=not offenders,
         witness={"pairs": [{"blocks": list(k), "edges": v[:4]}
                            for k, v in list(offenders.items())[:5]]},
-        value=max((len(v) for v in pair_edges.values()), default=0),
+        value=max(map(len, pair_edges.values()), default=0),
         bound=1))
 
     if labeling is None:
         raise ValueError("boundary check needs the good/bad labeling")
-    bad_boundary = []
-    for i, b in enumerate(blocks):
-        for v in boundaries(g, b.vertices).interior:
-            if not labeling.is_good(v):
-                bad_boundary.append({"block": i, "vertex": v})
+    if len(owner) + len(missing) != g.n:
+        # a block holds a vertex outside 0..n-1: raise boundaries' error
+        for b in blocks:
+            boundaries(g, b.vertices)
+    bad_boundary = sorted(
+        (i, v) for v, ok in enumerate(labeling.good.tolist())
+        if not ok and v in owner
+        for i in shared.get(v, (owner[v],))
+        if any(owner.get(w) != i and i not in shared.get(w, ())
+               for w in g.adj[v]))
     report.add(CheckRecord(
         check="boundary-good", passed=not bad_boundary,
-        witness={"violations": bad_boundary[:10]}))
+        witness={"violations": [{"block": i, "vertex": v}
+                                for i, v in bad_boundary[:10]]}))
 
     if partition.t is None:
         raise ValueError("diameter check needs the excess parameter t")

@@ -10,6 +10,7 @@ exhaustion, 3 invalid input.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -473,10 +474,16 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    """Run one command; returns its exit code.  The parser is built on
+    the first call and reused by every later one in the process."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags; keep 2 reserved for budgets
         return 0 if exc.code == 0 else EXIT_INVALID

@@ -7,6 +7,7 @@ graph generation and the edge-list file format.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,11 +125,18 @@ def bfs_distances(g, sources, cutoff=None, within=None):
 
 
 def induced_components(g, vertices):
-    """Components of the induced subgraph as sorted tuples, by min vertex."""
+    """Components of the induced subgraph as sorted tuples, by min vertex.
+
+    A vertex with no neighbours in g is its own component, (s,), with no
+    BFS: in a graph with few edges most components are such vertices.
+    """
     vset = set(vertices)
     comps = []
     seen = set()
     for s in sorted(vset):
+        if not g.adj[s]:
+            comps.append((s,))
+            continue
         if s in seen:
             continue
         comp = tuple(sorted(bfs_distances(g, s, within=vset)))
@@ -628,6 +636,7 @@ class MaxPathWeight:
     path: tuple
     swept: int = 0
     nodes: int = 0
+    phi: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 # Vertices, highest path bound first, whose exact phi the path search
@@ -650,7 +659,8 @@ def max_path_alpha_weight(g, alpha, l, node_budget=DEFAULTS["node_budget"],
     a DFS over the swept vertices finds a path of weight L, and the
     vertices with B(v) >= L, which hold every path as heavy, are swept in
     turn until none is left out; the last DFS is the answer.
-    ``MaxPathWeight.swept`` counts the vertices swept here.
+    ``MaxPathWeight.swept`` counts the vertices swept here, and
+    ``MaxPathWeight.phi`` is a copy of ``phi`` with their values filled in.
 
     The DFS uses branch-and-bound: a branch dies when its running sum plus
     (remaining edges) * (largest phi searched) cannot beat the incumbent.
@@ -664,7 +674,7 @@ def max_path_alpha_weight(g, alpha, l, node_budget=DEFAULTS["node_budget"],
     if l < 0:
         raise ValueError("path length cap must be nonnegative")
     if g.n == 0:
-        return MaxPathWeight(0.0, ())
+        return MaxPathWeight(0.0, (), phi=np.empty(0))
     l = min(l, g.n - 1)
     phi = np.full(g.n, np.nan) if phi is None else np.array(phi, float)
     inside = ~np.isnan(phi)
@@ -687,7 +697,7 @@ def max_path_alpha_weight(g, alpha, l, node_budget=DEFAULTS["node_budget"],
         new = np.flatnonzero((bound >= value) & ~inside)
         if not len(new):
             break
-    return MaxPathWeight(value, path, swept=swept, nodes=nodes)
+    return MaxPathWeight(value, path, swept=swept, nodes=nodes, phi=phi)
 
 
 def _path_search(g, phi, l, inside, node_budget, nodes):
@@ -827,9 +837,10 @@ class HypothesisReport:
     def phi(self):
         """phi_alpha of every vertex, bit-identical to alpha_weights_all's.
 
-        The check knows it only in the MS-BFS chunks whose clause-1 BFS
-        ran out before the radius, never at a sparse source; the first
-        read sweeps the other vertices, and later reads reuse the array.
+        The check knows it in the MS-BFS chunks whose clause-1 BFS ran
+        out before the radius, never at a sparse source, and at the
+        vertices clause 2 swept; the first read sweeps the other vertices,
+        and later reads reuse the array.
         """
         open_ = np.flatnonzero(np.isnan(self.known_phi))
         if len(open_):
@@ -854,8 +865,9 @@ def check_hypothesis(g, params, node_budget=DEFAULTS["node_budget"],
     max_path_alpha_weight's bounds leave as candidates for the heaviest
     path, whatever part of phi clause 1 handed over.  The records equal
     those of the full sweep.  The report's phi_swept counts the vertices
-    whose exact phi was computed, path_nodes the path search's DFS nodes,
-    and clause_one tree_excess_all's counters of the clause-1 work.
+    whose exact phi was computed, and known_phi holds those values;
+    path_nodes counts the path search's DFS nodes, and clause_one
+    tree_excess_all's counters of the clause-1 work.
     """
     radius = log_radius(params.a, g.n, base=log_base)
     report = Report()
@@ -891,7 +903,7 @@ def check_hypothesis(g, params, node_budget=DEFAULTS["node_budget"],
     return HypothesisReport(params=params, radius=radius, report=report,
                             m_alpha=mpw.value, phi_swept=swept,
                             path_nodes=mpw.nodes, clause_one=clause_one,
-                            graph=g, known_phi=phi)
+                            graph=g, known_phi=mpw.phi)
 
 
 def generate_er(n, d, seed):
@@ -929,12 +941,15 @@ def format_edge_list(g):
 
 
 def parse_edge_list(text):
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line)
+    """The graph of an edge-list text: a header "n m", then m lines "u v"
+    with u < v; blank lines and lines starting with "#" are skipped.
+
+    Edges that are strictly increasing and in range, as write_edge_list
+    writes them, go to the graph as they are; any other list goes through
+    Graph's checks and sort, whose errors it raises.
+    """
+    rows = [line for line in map(str.strip, text.splitlines())
+            if line and not line.startswith("#")]
     if not rows:
         raise ValueError("edge list has no header line")
     head = rows[0].split()
@@ -952,6 +967,10 @@ def parse_edge_list(text):
         if u >= v:
             raise ValueError(f"edge {u} {v} violates u < v")
         edges.append((u, v))
+    if (n >= 0 and all(map(operator.lt, edges, edges[1:]))
+            and (not edges or edges[0][0] >= 0
+                 and max(map(operator.itemgetter(1), edges)) < n)):
+        return Graph._from_sorted(n, edges)
     return Graph(n, edges)
 
 

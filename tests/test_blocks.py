@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import glauberlab as gl
 from glauberlab import blocks as gl_blocks
 from glauberlab import graphs as gl_graphs
 from glauberlab.graphs import induced_components
+from glauberlab.records import CheckRecord, Report
 
 
 def c6():
@@ -193,6 +195,39 @@ def count_sweeps(monkeypatch):
 
     monkeypatch.setattr(gl_graphs, "_distance_chunks", counted)
     return calls
+
+
+def count_bfs(monkeypatch):
+    """Record the sources of each dict BFS, wherever it is looked up."""
+    calls = []
+    bfs = gl_graphs.bfs_distances
+
+    def counted(g, sources, *args, **kwargs):
+        calls.append(sources)
+        return bfs(g, sources, *args, **kwargs)
+
+    for module in (gl_graphs, gl_blocks):
+        monkeypatch.setattr(module, "bfs_distances", counted)
+    return calls
+
+
+class TestWorkCounts:
+    def test_paper_constants_run_no_bfs(self, monkeypatch):
+        # every vertex is good, so every unit and block is one isolated
+        # vertex of the good-good-free graph and needs no BFS
+        g = gl.generate_er(3500, 2.0, 1)
+        hp = gl.HypothesisParams(a=0.2, alpha=0.25, t=1, delta=2.07)
+        calls = count_bfs(monkeypatch)
+        part = gl.decompose(g, hp)
+        assert gl.validate_partition(g, part).passed
+        assert calls == []
+        assert len(part.blocks) == 3500
+
+    def test_guard_sees_the_bfs(self, monkeypatch):
+        calls = count_bfs(monkeypatch)
+        assert induced_components(gl.Graph(3, [(0, 1)]), range(3)) == \
+            [(0, 1), (2,)]
+        assert calls == [0]
 
 
 class TestBadClasses:
@@ -550,6 +585,188 @@ class TestBlockDiameter:
             for comp in induced_components(g, range(g.n)):
                 assert (gl_blocks._block_diameter(g, comp)
                         == oracle_block_diameter(g, comp))
+
+
+def reference_owner_checks(g, partition):
+    """Reference for validate_partition's cover, cross-edges and
+    boundary-good records, computed block by block: the interior of each
+    block comes from its own boundaries() call."""
+    labeling = partition.labeling
+    report = Report()
+    blocks = partition.blocks
+
+    owner = {}
+    duplicated = []
+    for i, b in enumerate(blocks):
+        for v in b.vertices:
+            if v in owner:
+                duplicated.append(v)
+            owner[v] = i
+    missing = [v for v in range(g.n) if v not in owner]
+    report.add(CheckRecord(
+        check="cover", passed=not duplicated and not missing,
+        witness={"duplicated": duplicated[:10], "missing": missing[:10]}))
+
+    pair_edges = {}
+    for u, v in g.edges:
+        bu, bv = owner.get(u), owner.get(v)
+        if bu is None or bv is None or bu == bv:
+            continue
+        key = (min(bu, bv), max(bu, bv))
+        pair_edges.setdefault(key, []).append((u, v))
+    offenders = {k: v for k, v in pair_edges.items() if len(v) > 1}
+    report.add(CheckRecord(
+        check="cross-edges", passed=not offenders,
+        witness={"pairs": [{"blocks": list(k), "edges": v[:4]}
+                           for k, v in list(offenders.items())[:5]]},
+        value=max((len(v) for v in pair_edges.values()), default=0),
+        bound=1))
+
+    if labeling is None:
+        raise ValueError("boundary check needs the good/bad labeling")
+    bad_boundary = []
+    for i, b in enumerate(blocks):
+        for v in gl.boundaries(g, b.vertices).interior:
+            if not labeling.is_good(v):
+                bad_boundary.append({"block": i, "vertex": v})
+    report.add(CheckRecord(
+        check="boundary-good", passed=not bad_boundary,
+        witness={"violations": bad_boundary[:10]}))
+    return [r.to_json_dict() for r in report.records]
+
+
+def random_partition(g, seed, sizes=(1, 6), bad_share=0.3, missing=0,
+                     dup_within=0, dup_across=0, extra=()):
+    """Shuffled vertices cut into blocks of sizes[0]..sizes[1] vertices, a
+    random labeling with about bad_share bad vertices, then the
+    corruptions asked for: vertices left out, repeated in their own block
+    or added to another, and the vertices of ``extra`` appended to the
+    last block."""
+    rng = random.Random(seed)
+    order = list(range(g.n))
+    rng.shuffle(order)
+    order = order[missing:]
+    groups = []
+    while order:
+        k = rng.randint(*sizes)
+        groups.append(order[:k])
+        order = order[k:]
+    for _ in range(dup_within):
+        group = rng.choice(groups)
+        group.insert(rng.randrange(len(group) + 1), rng.choice(group))
+    for _ in range(dup_across):
+        rng.choice(groups).append(rng.randrange(g.n))
+    groups[-1].extend(extra)
+    phi = [float(rng.random() < bad_share) for _ in range(g.n)]
+    lab = gl.classify(g, c=g.n, alpha=0.5, eps=0.5, phi=phi)
+    blocks = tuple(gl.Block("singleton" if len(b) == 1 else "tree",
+                            tuple(b)) for b in groups)
+    return gl.BlockPartition(blocks=blocks, L=1.0, log_base=math.e, t=1,
+                             labeling=lab)
+
+
+# (n, mean degree, random_partition keywords): 25 seeded partitions
+OWNER_CASES = (
+    [(60, 3.0, dict(seed=s)) for s in range(6)]
+    # all good singletons: every check passes
+    + [(60, 3.0, dict(seed=s, sizes=(1, 1), bad_share=0.0))
+       for s in range(2)]
+    + [(60, 3.0, dict(seed=s, missing=5)) for s in range(3)]
+    + [(60, 3.0, dict(seed=s, dup_within=4)) for s in range(3)]
+    + [(60, 3.0, dict(seed=s, dup_across=4)) for s in range(3)]
+    + [(60, 3.0, dict(seed=s, missing=3, dup_within=2, dup_across=6))
+       for s in range(3)]
+    # every block pair of a dense graph carries several cross edges
+    + [(40, 20.0, dict(seed=s, sizes=(8, 10), dup_across=3))
+       for s in range(2)]
+    # far more than ten bad vertices on block boundaries
+    + [(120, 3.0, dict(seed=s, bad_share=0.8, dup_within=2))
+       for s in range(3)])
+
+
+class TestValidateOwnerMap:
+    @pytest.mark.parametrize("n, d, kw", OWNER_CASES)
+    def test_records_equal_reference(self, n, d, kw):
+        g = gl.generate_er(n, d, kw["seed"])
+        part = random_partition(g, **kw)
+        got = [r.to_json_dict()
+               for r in gl.validate_partition(g, part).records[:3]]
+        assert got == reference_owner_checks(g, part)
+
+    def test_shared_vertex_lies_inside_each_of_its_blocks(self):
+        # 2 lies in blocks 0 and 1, so bad vertex 1 has no neighbour
+        # outside block 0; bad vertex 3 has one, 4, outside block 1
+        g = gl.Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        lab = gl.classify(g, c=10, alpha=0.5, eps=0.5,
+                          phi=[0.0, 1.0, 0.0, 1.0, 0.0])
+        blocks = (gl.Block("tree", (0, 1, 2)), gl.Block("tree", (2, 3)),
+                  gl.Block("singleton", (4,)))
+        part = gl.BlockPartition(blocks=blocks, L=1.0, log_base=math.e,
+                                 t=1, labeling=lab)
+        got = [r.to_json_dict()
+               for r in gl.validate_partition(g, part).records[:3]]
+        assert got == reference_owner_checks(g, part)
+        assert got[2]["witness"] == {"violations": [{"block": 1,
+                                                     "vertex": 3}]}
+
+    def test_cases_reach_every_witness_cap(self):
+        seen = set()
+        for n, d, kw in OWNER_CASES:
+            g = gl.generate_er(n, d, kw["seed"])
+            cover, cross, boundary = reference_owner_checks(
+                g, random_partition(g, **kw))
+            if cover["witness"]["missing"]:
+                seen.add("missing")
+            if cover["witness"]["duplicated"]:
+                seen.add("duplicated")
+            pairs = cross["witness"]["pairs"]
+            if len(pairs) == 5 and all(len(p["edges"]) == 4 for p in pairs):
+                seen.add("pairs")
+            if len(boundary["witness"]["violations"]) == 10:
+                seen.add("violations")
+            if cover["pass"] and cross["pass"] and boundary["pass"]:
+                seen.add("valid")
+        assert seen == {"missing", "duplicated", "pairs", "violations",
+                        "valid"}
+
+    def test_decompositions_equal_reference(self):
+        hp = gl.HypothesisParams(a=1.0, alpha=0.5, t=1000, delta=100.0)
+        for seed in (1, 2):
+            g = gl.generate_er(400, 2.5, seed)
+            part = gl.decompose(g, hp, L=2 / math.log(400))
+            assert any(b.kind == "skeleton" for b in part.blocks)
+            got = [r.to_json_dict()
+                   for r in gl.validate_partition(g, part).records[:3]]
+            assert got == reference_owner_checks(g, part)
+
+    @pytest.mark.parametrize("extra, labeled, message", [
+        ((63,), True, "vertex 63 out of range"),
+        ((-1,), True, "vertex -1 out of range"),
+        ((5, 70, 61), True, None),
+        ((63,), False, "boundary check needs the good/bad labeling"),
+    ])
+    def test_errors_follow_the_first_two_records(self, monkeypatch, extra,
+                                                 labeled, message):
+        g = gl.generate_er(60, 3.0, 4)
+        part = random_partition(g, 4, extra=extra)
+        if not labeled:
+            part.labeling = None
+        with pytest.raises(ValueError) as want:
+            reference_owner_checks(g, part)
+        if message is not None:
+            assert str(want.value) == message
+        added = []
+
+        class Recording(Report):
+            def add(self, rec):
+                added.append(rec.check)
+                super().add(rec)
+
+        monkeypatch.setattr(gl_blocks, "Report", Recording)
+        with pytest.raises(ValueError) as got:
+            gl.validate_partition(g, part)
+        assert str(got.value) == str(want.value)
+        assert added == ["cover", "cross-edges"]
 
 
 class TestValidatePartition:

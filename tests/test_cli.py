@@ -872,6 +872,37 @@ class TestOutputEnvelope:
         assert digests[0] == digests[1]
 
 
+class TestParserReuse:
+    def test_one_parser_per_process(self, er_graph, tmp_path, monkeypatch):
+        built = []
+        build = gl_cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(gl_cli, "build_parser", counted)
+        gl_cli._parser.cache_clear()
+        flags = ["--a", "0.2", "--alpha", "0.25", "--t", "1", "--delta",
+                 "2.07"]
+        commands = [["check", str(er_graph)] + flags,
+                    ["decompose", str(er_graph)] + flags
+                    + ["--scan-order", "high"]]
+        here = [tmp_path / "check.json", tmp_path / "decompose.json"]
+        codes = [main(argv + ["--out", str(out)])
+                 for argv, out in zip(commands, here)]
+        assert built == [1]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        for argv, out, code in zip(commands, here, codes):
+            fresh = out.with_suffix(".fresh")
+            done = subprocess.run(
+                [sys.executable, "-m", "glauberlab"] + argv
+                + ["--out", str(fresh)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == code, done.stderr
+            assert payload_digest(out) == payload_digest(fresh)
+
+
 class TestBudgetFlag:
     @pytest.mark.parametrize("budget", ["0", "-1"])
     @pytest.mark.parametrize("command", ["check", "decompose", "exact",

@@ -750,6 +750,25 @@ class TestHypothesis:
         rep = gl.check_hypothesis(g, gl.HypothesisParams(0.5, 0.25, 5, 10.0))
         assert np.allclose(rep.phi, gl.alpha_weights_all(g, 0.25))
 
+    def test_known_phi_keeps_the_path_sweep(self, monkeypatch):
+        # clause 1 builds every ball sparsely and hands over no phi, so
+        # all 330 known values come from clause 2's candidates
+        g = gl.generate_er(5000, 0.5, 1)
+        rep = gl.check_hypothesis(g, gl.HypothesisParams(1, 0.25, 1, 2.07))
+        assert rep.phi_swept == 330
+        assert np.count_nonzero(~np.isnan(rep.known_phi)) == 330
+        swept = []
+        sweep = graphs.alpha_weights_all
+
+        def counted(g, alpha, sources=None):
+            swept.append(len(sources))
+            return sweep(g, alpha, sources)
+
+        monkeypatch.setattr(graphs, "alpha_weights_all", counted)
+        phi = rep.phi
+        assert swept == [g.n - 330]
+        assert phi.tobytes() == sweep(g, 0.25).tobytes()
+
 
 class TestGenerateEr:
     def test_deterministic(self):
@@ -792,3 +811,47 @@ class TestEdgeListIO:
         p = tmp_path / "g.edges"
         gl.write_edge_list(g, p)
         assert gl.read_edge_list(p).n == 5
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "edge list has no header line"),
+        ("# a comment\n\n", "edge list has no header line"),
+        ("3\n", "malformed header '3'"),
+        ("3 1 0\n0 1\n", "malformed header '3 1 0'"),
+        ("2 5\n0 1\n", "header declares 5 edges, found 1"),
+        ("3 1\n0 1 2\n", "malformed edge line '0 1 2'"),
+        ("3 1\n0 x\n", "invalid literal for int() with base 10: 'x'"),
+        ("3 1\n1 0\n", "edge 1 0 violates u < v"),
+        ("3 1\n1 1\n", "edge 1 1 violates u < v"),
+        ("3 1\n0 3\n", "edge (0,3) out of range for n=3"),
+        ("3 1\n-1 2\n", "edge (-1,2) out of range for n=3"),
+        ("5 2\n0 1\n2 7\n", "edge (2,7) out of range for n=5"),
+        ("3 2\n0 1\n0 1\n", "parallel edge (0,1)"),
+        ("4 3\n0 1\n2 3\n0 1\n", "parallel edge (0,1)"),
+        ("-1 0\n", "vertex count must be nonnegative"),
+    ])
+    def test_malformed_input_keeps_its_error(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            gl.parse_edge_list(text)
+        assert str(exc.value) == message
+
+    def test_unsorted_file_equals_graph(self):
+        g = gl.parse_edge_list("# unsorted\n5 4\n\n3 4\n0 2\n1 3\n0 1\n")
+        h = gl.Graph(5, [(3, 4), (0, 2), (1, 3), (0, 1)])
+        assert g == h and g.adj == h.adj
+        assert g.edges == ((0, 1), (0, 2), (1, 3), (3, 4))
+
+    @pytest.mark.parametrize("n, d, seed", [(3500, 2.0, 1), (400, 2.5, 1),
+                                            (400, 2.5, 2)])
+    def test_sorted_file_skips_graph_checks(self, tmp_path, monkeypatch,
+                                            n, d, seed):
+        # the graphs of the hypothesis and blocks workloads
+        g = gl.generate_er(n, d, seed)
+        p = tmp_path / "g.edges"
+        gl.write_edge_list(g, p)
+
+        def checked(*args):
+            raise AssertionError("a sorted file went through Graph()")
+
+        monkeypatch.setattr(gl.Graph, "__init__", checked)
+        h = gl.read_edge_list(p)
+        assert h.n == g.n and h.edges == g.edges and h.adj == g.adj
