@@ -9,7 +9,9 @@ the construction promises.
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -513,20 +515,26 @@ def validate_partition(g, partition):
         check="cover", passed=not duplicated and not missing,
         witness={"duplicated": duplicated[:10], "missing": missing[:10]}))
 
-    pair_edges = {}
-    for u, v in g.edges:
+    def pair(u, v):
         bu, bv = owner.get(u), owner.get(v)
-        if bu is None or bv is None or bu == bv:
-            continue
-        key = (bu, bv) if bu < bv else (bv, bu)
-        pair_edges.setdefault(key, []).append((u, v))
-    offenders = {k: v for k, v in pair_edges.items() if len(v) > 1}
+        if bu is not None and bv is not None and bu != bv:
+            return (bu, bv) if bu < bv else (bv, bu)
+
+    # edges per block pair first; edge lists, of the first four edges in
+    # g.edges order, only for the pairs that share two or more
+    count = Counter(starmap(pair, g.edges))
+    count.pop(None, None)
+    offenders = {k: [] for k, c in count.items() if c > 1}
+    if offenders:
+        for e, key in zip(g.edges, starmap(pair, g.edges)):
+            edges = offenders.get(key)
+            if edges is not None and len(edges) < 4:
+                edges.append(e)
     report.add(CheckRecord(
         check="cross-edges", passed=not offenders,
-        witness={"pairs": [{"blocks": list(k), "edges": v[:4]}
+        witness={"pairs": [{"blocks": list(k), "edges": v}
                            for k, v in list(offenders.items())[:5]]},
-        value=max(map(len, pair_edges.values()), default=0),
-        bound=1))
+        value=max(count.values(), default=0), bound=1))
 
     if labeling is None:
         raise ValueError("boundary check needs the good/bad labeling")

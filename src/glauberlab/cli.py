@@ -166,8 +166,9 @@ def cmd_sample(args, cfg):
     if args.out:
         with open(args.out + ".trace.csv", "w", newline="",
                   encoding="utf-8") as fh:
-            fh.write(_rows_to_csv([{"step": s, "hamming": h, "active": a}
-                                   for s, h, a in trace]))
+            writer = csv.writer(fh)
+            writer.writerow(("step", "hamming", "active"))
+            writer.writerows(trace)
         write_checkpoint(args.out + ".ckpt", state)
     payload = {
         "steps": args.steps,

@@ -44,9 +44,11 @@ def _checked_start(model, graph, start, steps):
     return start
 
 
-def _site_draws(rng, n, lazy, steps):
+def _site_draws(rng, n, lazy, steps, config=None, draw=None):
     """Yield (t, v, u) for each step t in 1..steps that a lazy coin does
     not hold: coin, then vertex, then uniform, in the module's order.
+    Given ``draw``, set config[v] = draw(config, v, u) instead and yield
+    (t, v, previous state of v).
 
     The vertex is read off ``rng.getrandbits(n.bit_length())`` with the
     rejection loop that ``random.Random.randrange(n)`` runs
@@ -65,23 +67,23 @@ def _site_draws(rng, n, lazy, steps):
         v = bits(k)
         while v >= n:
             v = bits(k)
-        yield t, v, random()
+        if draw is None:
+            yield t, v, random()
+        else:
+            old = config[v]
+            config[v] = draw(config, v, random())
+            yield t, v, old
 
 
 def _single_site(kernel, rng, lazy):
-    """``moves(config, steps)``: the chain's updates of config in place.
-
-    For each step t that a lazy coin does not hold, redraws config[v] and
-    yields (t, v, previous state of v).
-    """
+    """``moves(config, steps)``: the chain's updates of config in place,
+    one ``_site_draws`` generator that redraws config[v] for each step t
+    a lazy coin does not hold and yields (t, v, previous state of v)."""
     n = kernel.graph.n
     draw = kernel.draw
 
     def moves(config, steps):
-        for t, v, u in _site_draws(rng, n, lazy, steps):
-            old = config[v]
-            config[v] = draw(config, v, u)
-            yield t, v, old
+        return _site_draws(rng, n, lazy, steps, config, draw)
     return moves
 
 

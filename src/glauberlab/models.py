@@ -268,18 +268,23 @@ class HeatBath:
                 j -= c
                 return sorted(tr - tl)[j], sorted(tl - tr)[j]
         else:
-            m = 1.0 / k
-            pairs = _pair_residuals(_residuals(q, tl, tr, 1.0 / kl, m),
-                                    _residuals(q, tr, tl, 1.0 / kr, m))
-            target = u * sum([m] * c + [mass for _, _, mass in pairs])
-            j = bisect_right(cum, target, 0, c)
-            if j == c:
-                acc = cum[c - 1] if c else 0.0
-                for x, y, mass in pairs:
-                    acc += mass
-                    if target < acc:
-                        return x, y
-                return x, y
+            # the walk's total is 1 to within a few ulps per color, so a
+            # common color that both ends of u * (1 -+ 1e-9) land on is the
+            # one its target lands on; else the walk is built in full
+            j = bisect_right(cum, u * (1 - 1e-9), 0, c)
+            if j == c or j != bisect_right(cum, u * (1 + 1e-9), 0, c):
+                m = 1.0 / k
+                pairs = _pair_residuals(_residuals(q, tl, tr, 1.0 / kl, m),
+                                        _residuals(q, tr, tl, 1.0 / kr, m))
+                target = u * sum([m] * c + [mass for _, _, mass in pairs])
+                j = bisect_right(cum, target, 0, c)
+                if j == c:
+                    acc = cum[c - 1] if c else 0.0
+                    for x, y, mass in pairs:
+                        acc += mass
+                        if target < acc:
+                            return x, y
+                    return x, y
         # the j-th commonly free color, as in _draw_coloring
         for t in sorted(taken):
             if t > j:
@@ -309,8 +314,16 @@ class HeatBath:
 
     def _couple_hardcore(self, left, right, v, u):
         nbrs = self._adj[v]
-        total, cut, first, last = self._hardcore_pairs[
-            any(left[w] for w in nbrs), any(right[w] for w in nbrs)]
+        bl = br = False
+        for w in nbrs:
+            if left[w]:
+                bl = True
+                break
+        for w in nbrs:
+            if right[w]:
+                br = True
+                break
+        total, cut, first, last = self._hardcore_pairs[bl, br]
         return first if u * total < cut else last
 
 
@@ -457,8 +470,10 @@ def greedy_coloring(graph, q, order=None):
     config = [None] * graph.n
     for v in order:
         taken = {config[w] for w in graph.adj[v] if config[w] is not None}
-        color = next((c for c in range(q) if c not in taken), None)
-        if color is None:
+        for color in range(q):
+            if color not in taken:
+                break
+        else:
             raise PaletteExhaustedError(
                 f"greedy coloring ran out of colors at vertex {v}")
         config[v] = color

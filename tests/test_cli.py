@@ -445,6 +445,27 @@ class TestSample:
             (0, 0, 0), (1, 0, 0)]
         assert gl.read_checkpoint(tmp_path / "r.ckpt").config == ()
 
+    @pytest.mark.parametrize("flags, lazy, stride", [
+        ([], True, None), (["--no-lazy"], False, None),
+        (["--stride", "7"], True, 7)])
+    def test_trace_csv_equals_dict_rows(self, er_graph, tmp_path, flags,
+                                        lazy, stride):
+        # the trace is written from its tuples; the bytes are those of
+        # the generic writer on the same rows as dicts
+        mp = tmp_path / "hc.json"
+        model = gl.hardcore_model(0.5)
+        gl.write_model(model, mp)
+        out = tmp_path / "run"
+        assert main(["sample", "--model", str(mp), "--graph", str(er_graph),
+                     "--steps", "3000", "--seed", "4", "--out", str(out)]
+                    + flags) == 0
+        g = gl.read_edge_list(er_graph)
+        _, trace = gl.run_chain(model, g, gl.initial_configuration(model, g),
+                                3000, seed=4, lazy=lazy, stride=stride)
+        want = gl_cli._rows_to_csv([{"step": s, "hamming": h, "active": a}
+                                    for s, h, a in trace])
+        assert (tmp_path / "run.trace.csv").read_bytes() == want.encode()
+
     @pytest.mark.parametrize("flag", [["--stride", "0"], ["--steps", "-5"]])
     def test_bad_chain_length_is_invalid(self, triangle_files, tmp_path,
                                          flag):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glauberlab as gl
+from glauberlab import models
 
 # 1.0 lies outside a uniform's range but drives sample_index's fallback
 UNIFORMS = st.one_of(st.just(0.0), st.just(1.0 - 2.0 ** -53), st.just(1.0),
@@ -203,6 +204,61 @@ class TestColoringCouple:
                     gl.sample_maximal_coupling(p, r, u), (tl, tr, u)
                 cases += 1
         assert cases >= 3000
+
+    # q = 2 leaves each side one free color; q = 200 walks up to 200
+    # masses, so it runs on fewer pairs
+    @pytest.mark.parametrize("q, count", [(2, 600), (200, 8)])
+    def test_matches_generic_coupling_at_palette_ends(self, q, count):
+        rng = random.Random(q)
+        cases = 0
+        for tl, tr in taken_pairs(q, rng, count):
+            g, v, left, right = star_pair(tl, tr)
+            kernel = gl.HeatBath(gl.coloring_model(q), g)
+            p, r = kernel.pmf(left, v), kernel.pmf(right, v)
+            for u in coupling_uniforms(p, r, rng):
+                assert kernel.couple(left, right, v, u) == \
+                    gl.sample_maximal_coupling(p, r, u), (tl, tr, u)
+                cases += 1
+        # 0, 1 - 2**-53, a random uniform and one below the last sum
+        assert cases >= 4 * count
+
+    @pytest.mark.parametrize("q, count", [(3, 200), (7, 200), (20, 200),
+                                          (200, 6)])
+    def test_common_color_builds_no_residuals(self, q, count, monkeypatch):
+        # kl != kr: a uniform well inside the common colors' mass is read
+        # off the free-color tables; the uniforms at the walk's switch
+        # points may build the residual pairs, and still match
+        calls = []
+        pair_residuals = models._pair_residuals
+
+        def counted(rp, rq):
+            calls.append(len(rp) + len(rq))
+            return pair_residuals(rp, rq)
+        monkeypatch.setattr(models, "_pair_residuals", counted)
+        rng = random.Random(q)
+        inside = built = 0
+        for tl, tr in taken_pairs(q, rng, count):
+            kl, kr = q - len(tl), q - len(tr)
+            c = q - len(tl | tr)
+            if kl == kr or not c:
+                continue
+            g, v, left, right = star_pair(tl, tr)
+            kernel = gl.HeatBath(gl.coloring_model(q), g)
+            p, r = kernel.pmf(left, v), kernel.pmf(right, v)
+            m = 1.0 / max(kl, kr)
+            for i in range(c):
+                u = (i + 0.5) * m
+                calls.clear()
+                got = kernel.couple(left, right, v, u)
+                assert not calls, (tl, tr, u)
+                assert got == gl.sample_maximal_coupling(p, r, u)
+                inside += 1
+            for u in coupling_uniforms(p, r, rng):
+                calls.clear()
+                got = kernel.couple(left, right, v, u)
+                built += bool(calls)
+                assert got == gl.sample_maximal_coupling(p, r, u), (tl, tr, u)
+        assert inside >= 50 and built >= 10
 
     @pytest.mark.parametrize("q", [3, 4, 5, 7, 20, 31])
     def test_identical_neighborhoods_share_the_draw(self, q):
